@@ -36,8 +36,9 @@ delay, and peak queue depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from repro.cluster.gpu import GPUDevice
 from repro.cluster.topology import Cluster
@@ -47,8 +48,7 @@ from repro.sim.engine import Simulator
 Callback = Callable[[], None]
 
 
-@dataclass(frozen=True)
-class Endpoint:
+class Endpoint(NamedTuple):
     """One end of a flow: a GPU, or a node's host memory (PS shard).
 
     PS traffic terminates in host memory (TF 1.12 stages tensors through
@@ -126,6 +126,10 @@ class SharedLink:
     Flows reserve non-overlapping service intervals in submission order;
     ``busy_time`` accumulates exact occupancy, so ``utilization`` can
     never exceed 1 — the oracle re-checks both properties.
+
+    Starts on one link never decrease (:meth:`Fabric.transfer` starts a
+    flow at the max ``free_at`` over its path), so the pending starts are
+    a FIFO pruned from its head in amortized O(1) per reservation.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, name: str, kind: str) -> None:
@@ -137,17 +141,21 @@ class SharedLink:
         self.bandwidth = bandwidth
         self.busy_time = 0.0
         self.bytes_moved = 0.0
-        self.flows_carried = 0
         self.queue_delay_total = 0.0
         self.max_queue_depth = 0
         self._free_at = 0.0
-        self._pending_starts: list[float] = []
+        self._pending_starts: deque[float] = deque()
         if sim.obs is not None:
             sim.obs.register_resource(self)
 
     @property
     def free_at(self) -> float:
         return self._free_at
+
+    @property
+    def queue_depth(self) -> int:
+        """Reserved flows that have not started by ``sim.now``."""
+        return sum(1 for t in self._pending_starts if t > self.sim.now)
 
     def occupy(self, start: float, duration: float, nbytes: float) -> None:
         """Reserve ``[start, start + duration)`` for one flow.
@@ -164,14 +172,16 @@ class SharedLink:
                 f"(free at {self._free_at})"
             )
         self.queue_delay_total += max(0.0, min(self._free_at, start) - now)
-        self._pending_starts = [t for t in self._pending_starts if t > now]
+        pending = self._pending_starts
+        while pending and pending[0] <= now:
+            pending.popleft()
         if start > now:
-            self._pending_starts.append(start)
-        self.max_queue_depth = max(self.max_queue_depth, len(self._pending_starts))
+            pending.append(start)
+            if len(pending) > self.max_queue_depth:
+                self.max_queue_depth = len(pending)
         self._free_at = start + duration
         self.busy_time += duration
         self.bytes_moved += nbytes
-        self.flows_carried += 1
         obs = self.sim.obs
         if obs is not None:
             obs.channel_span(self.name, start, start + duration, nbytes)
@@ -186,8 +196,7 @@ class SharedLink:
         return max(0.0, busy / window)
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     """One completed (or in-flight) transfer's routing record."""
 
     src: Endpoint
@@ -200,6 +209,10 @@ class Flow:
     #: seconds the flow waited for its path (start - submission time),
     #: so per-subsystem queueing can be re-aggregated by tag
     wait: float = 0.0
+
+
+#: (path, latency, path names, bottleneck rate) of one endpoint pair
+_Route = tuple[list[SharedLink], float, tuple[str, ...], float]
 
 
 class Fabric:
@@ -276,10 +289,7 @@ class Fabric:
         #: the topology is static, so a flow stream's multi-hop path is
         #: computed once and replayed for every subsequent transfer
         #: instead of being rebuilt per flow
-        self._routes: dict[
-            tuple[Endpoint, Endpoint],
-            tuple[list[SharedLink], float, tuple[str, ...], float],
-        ] = {}
+        self._routes: dict[tuple[Endpoint, Endpoint], _Route] = {}
 
     # ------------------------------------------------------------------
     # routing
@@ -305,12 +315,9 @@ class Fabric:
         Routes are memoized per endpoint pair (the fabric is static);
         callers must treat the returned path as read-only.
         """
-        path, latency, _names, _bottleneck = self._route_entry(src, dst)
-        return path, latency
+        return self._route_entry(src, dst)[:2]
 
-    def _route_entry(
-        self, src: Endpoint, dst: Endpoint
-    ) -> tuple[list[SharedLink], float, tuple[str, ...], float]:
+    def _route_entry(self, src: Endpoint, dst: Endpoint) -> _Route:
         cached = self._routes.get((src, dst))
         if cached is not None:
             return cached
@@ -339,13 +346,7 @@ class Fabric:
         # A resource appears once per flow even when both endpoints share
         # it (same-node host->host shares one host lane; the flow still
         # serializes with the node's other traffic through lane+switch).
-        seen: set[str] = set()
-        unique = []
-        for link in path:
-            if link.name not in seen:
-                seen.add(link.name)
-                unique.append(link)
-        return unique, latency
+        return list(dict.fromkeys(path)), latency
 
     # ------------------------------------------------------------------
     # transfers
@@ -397,10 +398,7 @@ class Fabric:
             link.occupy(start, occupy, nbytes)
         done = start + occupy + latency
         self.flows.append(
-            Flow(
-                src=src, dst=dst, nbytes=nbytes, start=start, done=done,
-                path=path_names, tag=tag, wait=start - now,
-            )
+            Flow(src, dst, nbytes, start, done, path_names, tag, start - now)
         )
         if on_complete is not None:
             self.sim.schedule_at(done, on_complete)

@@ -198,10 +198,7 @@ class ObsCollector:
         self.gauge("sim.queue_depth", float(sim.queue_depth), now)
         for res in self.resources:
             self.gauge(f"{res.name}.util", res.utilization(), now)
-            depth = getattr(res, "queue_depth", None)
-            if depth is None:
-                depth = len(getattr(res, "_pending_starts", ()))
-            self.gauge(f"{res.name}.queue", float(depth), now)
+            self.gauge(f"{res.name}.queue", float(res.queue_depth), now)
 
     # ------------------------------------------------------------------
     # reporting

@@ -264,6 +264,11 @@ class Channel:
         if sim.obs is not None:
             sim.obs.register_resource(self)
 
+    @property
+    def queue_depth(self) -> int:
+        """Transfers waiting for the link (not yet started) at ``sim.now``."""
+        return sum(1 for t in self._pending_starts if t > self.sim.now)
+
     def transfer_time(self, nbytes: float) -> float:
         """Unloaded service time for ``nbytes`` (no queueing)."""
         return self.latency + nbytes / self.bandwidth

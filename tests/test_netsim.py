@@ -1,6 +1,7 @@
 """Contention-aware fabric: routing, sharing semantics, oracles, wiring."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.catalog import (
     INTERCONNECT_PROFILES,
@@ -16,6 +17,7 @@ from repro.netsim import (
     Endpoint,
     Fabric,
     FabricSpec,
+    SharedLink,
     utilization_report,
 )
 from repro.parallel import (
@@ -145,6 +147,114 @@ class TestSharing:
         top = fabric.congested_links(top=3)
         assert len(top) == 3
         assert top[0].queue_delay_total >= top[-1].queue_delay_total
+
+
+class _ReferenceLink:
+    """Brute-force SharedLink accounting: prunes by filtering every
+    pending start instead of popping expired ones off the head."""
+
+    def __init__(self) -> None:
+        self.free_at = 0.0
+        self.busy_time = 0.0
+        self.bytes_moved = 0.0
+        self.queue_delay_total = 0.0
+        self.max_queue_depth = 0
+        self.pending: list[float] = []
+
+    def occupy(self, now: float, start: float, duration: float, nbytes: float) -> None:
+        self.queue_delay_total += max(0.0, min(self.free_at, start) - now)
+        self.pending = [t for t in self.pending if t > now]
+        if start > now:
+            self.pending.append(start)
+        self.max_queue_depth = max(self.max_queue_depth, len(self.pending))
+        self.free_at = start + duration
+        self.busy_time += duration
+        self.bytes_moved += nbytes
+
+
+_CONGESTED = FabricSpec(pcie_lane_scale=0.5, nic_scale=0.25, ib_fabric_scale=0.5)
+
+
+class TestSharedLinkAccounting:
+    def test_overlapping_occupy_raises(self):
+        sim = Simulator()
+        link = SharedLink(sim, 1e9, "nic.test", "nic")
+        link.occupy(0.0, 1.0, 1e9)
+        with pytest.raises(InvariantViolation, match="overlapping reservation"):
+            link.occupy(0.5, 1.0, 1e9)
+
+    def test_stacked_flows_queue_delay_and_depth(self):
+        sim, cluster, fabric = _fabric()
+        src, dst = Endpoint.gpu(cluster.gpu(0)), Endpoint.gpu(cluster.gpu(2))
+        path, _ = fabric.route(src, dst)
+        occupy = 1e6 / min(link.bandwidth for link in path)
+        for _ in range(3):
+            fabric.transfer(src, dst, 1e6, lambda: None)
+        # flows start at 0, occupy, 2*occupy: two wait, for 1 + 2 slots
+        for link in path:
+            assert link.queue_delay_total == pytest.approx(3 * occupy)
+            assert link.max_queue_depth == 2
+            assert link.queue_depth == 2
+        assert fabric.queue_stats() == (pytest.approx(3 * occupy), 2)
+        sim.run()
+        # every flow has started: nothing waits, and a later flow
+        # neither queues nor deepens the peak
+        fabric.transfer(src, dst, 1e6)
+        for link in path:
+            assert link.queue_depth == 0
+            assert link.max_queue_depth == 2
+            assert link.queue_delay_total == pytest.approx(3 * occupy)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from([DEFAULT_FABRIC_SPEC, _CONGESTED]),
+        flows=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1e-4, 1e-3, 5e-3]),  # gap after previous
+                st.integers(0, 5),  # src: gpus 0-3, hosts of nodes 0-1
+                st.integers(0, 5),  # dst
+                st.sampled_from([0.0, 1e4, 1e5, 1e6, 4e6]),
+            ),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_property_matches_brute_force_reference(self, spec, flows):
+        sim, cluster, fabric = _fabric(spec=spec)
+        endpoints = [Endpoint.gpu(gpu) for gpu in cluster.gpus]
+        endpoints += [Endpoint.host(node.node_id) for node in cluster.nodes]
+        assert len(endpoints) == 6
+        refs = {link.name: _ReferenceLink() for link in fabric.links()}
+
+        def submit(src: Endpoint, dst: Endpoint, nbytes: float) -> None:
+            now = sim.now
+            fabric.transfer(src, dst, nbytes)
+            if src != dst or src.gpu_id is None:
+                path, _ = fabric.route(src, dst)
+                occupy = nbytes / min(link.bandwidth for link in path)
+                start = max([now] + [refs[link.name].free_at for link in path])
+                for link in path:
+                    refs[link.name].occupy(now, start, occupy, nbytes)
+            for link in fabric.links():
+                starts = list(link._pending_starts)
+                assert starts == sorted(starts), link.name
+                ref = refs[link.name]
+                assert link.queue_depth == sum(1 for t in ref.pending if t > now)
+
+        t = 0.0
+        for gap, src, dst, nbytes in flows:
+            t += gap
+            sim.schedule_at(
+                t, lambda s=endpoints[src], d=endpoints[dst], n=nbytes: submit(s, d, n)
+            )
+        sim.run()
+        fabric.verify()
+        for link in fabric.links():
+            ref = refs[link.name]
+            assert link.free_at == ref.free_at, link.name
+            assert link.busy_time == ref.busy_time, link.name
+            assert link.bytes_moved == ref.bytes_moved, link.name
+            assert link.queue_delay_total == ref.queue_delay_total, link.name
+            assert link.max_queue_depth == ref.max_queue_depth, link.name
 
 
 class TestVerification:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.training.nn import (
@@ -53,11 +53,17 @@ class TestGradients:
         hidden=st.integers(min_value=2, max_value=12),
         seed=st.integers(min_value=0, max_value=1000),
     )
+    # a hidden pre-activation of 9.6e-6 < eps: the central difference
+    # straddles the ReLU kink and misses the analytic gradient by 0.036
+    @example(batch=5, hidden=12, seed=464)
     def test_property_gradcheck_random_shapes(self, batch, hidden, seed):
         rng = np.random.default_rng(seed)
         net = MLP([4, hidden, 3], seed=seed)
         x = rng.normal(size=(batch, 4))
         y = rng.integers(0, 3, size=batch)
+        eps = 1e-5
+        # the numerical gradient is only valid away from the ReLU kink
+        assume(np.abs(net.layers[0].forward(x)).min() >= 10 * eps)
 
         def loss_at(params):
             net.set_params(params)
@@ -65,7 +71,7 @@ class TestGradients:
             return loss
 
         _, analytic = net.loss_and_grad(x, y)
-        numeric = numerical_gradient(loss_at, net.get_params())
+        numeric = numerical_gradient(loss_at, net.get_params(), eps=eps)
         assert np.allclose(analytic, numeric, atol=1e-5)
 
     def test_relu_backward(self):

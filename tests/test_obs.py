@@ -285,3 +285,36 @@ class TestObsReport:
         assert any(name.startswith("ps.") for name in report.utilization)
         assert any(name.endswith(".gpu0") for name in report.utilization)
         assert all(0.0 <= u <= 1.0 + 1e-9 for u in report.utilization.values())
+
+
+class TestSamplerQueueDepth:
+    """The ``<name>.queue`` gauge counts only transfers not yet started,
+    even though started ones stay in a link's pending starts until its
+    next transfer prunes them."""
+
+    def test_link_whose_last_flow_has_started(self):
+        from repro.cluster.catalog import paper_cluster
+        from repro.netsim import Fabric
+        from repro.sim.engine import Simulator
+        from repro.sim.resources import Channel
+
+        sim = Simulator()
+        obs = ObsCollector(ObservabilitySpec(enabled=True))
+        sim.obs = obs
+        fabric = Fabric(sim, paper_cluster("VR", gpus_per_node=2))
+        nic = fabric.nic[0]
+        channel = Channel(sim, nic.bandwidth, name="chan")  # same schedule
+        for _ in range(3):
+            fabric.transfer_gpus(0, 2, 1e6)
+            channel.transfer(1e6)
+        obs.sample(sim)
+        assert obs.series["nic.n0.queue"][-1] == (0.0, 2.0)
+        assert obs.series["chan.queue"][-1] == (0.0, 2.0)
+        # sample between the last flow's start and its end
+        last_start = fabric.flows[-1].start
+        sim.schedule_at(last_start + 0.5 * (nic.free_at - last_start), lambda: obs.sample(sim))
+        sim.run()
+        assert len(nic._pending_starts) == 2  # started, not yet pruned
+        assert obs.series["nic.n0.queue"][-1][1] == 0.0
+        assert obs.series["chan.queue"][-1][1] == 0.0
+        assert nic.queue_depth == channel.queue_depth == 0
