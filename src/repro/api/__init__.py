@@ -58,7 +58,6 @@ _EXPORTS = {
     "build_model": "repro.api.build",
     "build_scenario": "repro.api.build",
     "run_to_scenario_spec": "repro.api.build",
-    "scenario_spec_to_run": "repro.api.build",
     "SweepPointResult": "repro.api.run",
     "SweepResult": "repro.api.run",
     "run": "repro.api.run",
@@ -90,7 +89,6 @@ if TYPE_CHECKING:  # static analyzers see the eager imports
         build_model,
         build_scenario,
         run_to_scenario_spec,
-        scenario_spec_to_run,
     )
     from repro.api.registry import (
         CALIBRATIONS,

@@ -1,40 +1,26 @@
 """Spec -> built objects: the bridge from :class:`RunSpec` to the system.
 
-:func:`build_scenario` turns a scenario-kind :class:`RunSpec` into the
-same :class:`~repro.scenarios.generator.Scenario` value object the fuzz
-harness runs — cluster, model graph, and one partition plan per virtual
-worker — resolving every open-ended name (model builder, calibration,
-interconnect profile, planner) through :mod:`repro.api.registry`.
+:func:`build_plans` is the one place a deployment is built: the cluster,
+the model graph, and one partition plan per virtual worker, resolving
+every open-ended name (model builder, calibration, interconnect profile,
+planner) through :mod:`repro.api.registry`.  It is memoized on exactly
+the inputs planning reads, so every run that shares a deployment — a
+fuzz seed's Nm descent, its main run and twins, a sweep over fidelity,
+seeds or windows — shares one set of (immutable) built objects.
 
-Two paths, one result type:
-
-* **fuzz-representable** specs (synthetic model, "dp" planner, default
-  calibration and profile — everything the seeded generator can emit)
-  round-trip through :class:`~repro.scenarios.generator.ScenarioSpec`
-  and the generator's memoized ``materialize``.  This is deliberate:
-  the fuzz flow builds the same spec several times per seed, and
-  sharing that cache keeps spec-driven runs *bit-identical* (digests
-  included) to the historical ScenarioSpec path.
-* everything else (catalog models by name, alternative planners,
-  non-default calibrations/profiles) is built here with its own
-  memoization, producing a ``Scenario`` whose ``spec`` field is the
-  derived :class:`ScenarioSpec` view the runner reads its knobs from.
+:func:`build_scenario` (a scenario-kind :class:`RunSpec`) and the fuzz
+generator's :func:`~repro.scenarios.generator.materialize` (a
+:class:`~repro.scenarios.generator.ScenarioSpec`) are thin adapters
+over it, each wrapping the shared objects in a
+:class:`~repro.scenarios.generator.Scenario` with its own spec view.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 
 from repro.api.registry import CALIBRATIONS, MODELS, PLANNERS, PROFILES
-from repro.api.spec import (
-    ClusterSpec,
-    FidelitySpec,
-    ModelSpec,
-    NetworkSpec,
-    PipelineSpec,
-    RunSpec,
-)
+from repro.api.spec import ClusterSpec, ModelSpec, RunSpec
 from repro.errors import PartitionError, SpecError
 
 
@@ -79,74 +65,6 @@ def run_to_scenario_spec(run: RunSpec):
     )
 
 
-def scenario_spec_to_run(
-    spec,
-    fidelity: str = "full",
-    verify_equivalence: bool | None = None,
-    waves_scale: int = 1,
-) -> RunSpec:
-    """Lift a legacy :class:`ScenarioSpec` into the typed API.
-
-    ``waves_scale`` moves *out* of ``measured_waves`` and into the
-    fidelity section, so the RunSpec states the base window and the
-    scale separately; :func:`run_to_scenario_spec` folds them back.
-    ``spec.measured_waves`` must therefore be the unscaled window.
-    """
-    return RunSpec(
-        kind="scenario",
-        seed=spec.seed,
-        cluster=ClusterSpec(
-            node_codes=spec.node_codes, gpus_per_node=spec.gpus_per_node
-        ),
-        model=ModelSpec(
-            name=f"fuzz{spec.seed}",
-            batch_size=spec.batch_size,
-            image_size=spec.image_size,
-            conv_widths=spec.conv_widths,
-            fc_dims=spec.fc_dims,
-        ),
-        pipeline=PipelineSpec(
-            nm=spec.nm,
-            d=spec.d,
-            allocation=spec.allocation,
-            placement=spec.placement,
-            shards=spec.shards,
-            shard_placement=spec.shard_placement,
-            variant=spec.variant,
-            memory_limited=spec.memory_limited,
-            push_every_minibatch=spec.push_every_minibatch,
-            jitter=spec.jitter,
-            warmup_waves=spec.warmup_waves,
-            measured_waves=spec.measured_waves,
-        ),
-        network=NetworkSpec(model=spec.network_model),
-        fidelity=FidelitySpec(
-            fidelity=fidelity,
-            verify_equivalence=verify_equivalence,
-            waves_scale=waves_scale,
-        ),
-    )
-
-
-def _is_fuzz_representable(run: RunSpec) -> bool:
-    """True when the seeded generator's materialization covers ``run``.
-
-    The generator names every synthetic model ``fuzz<seed>`` (its
-    ``ScenarioSpec`` carries no name field), so only specs declaring
-    exactly that name may share its cache — any other name must build
-    through the general path or surfaces reporting ``model_name`` would
-    silently swap identities.
-    """
-    return (
-        run.model is not None
-        and run.model.is_synthetic
-        and run.model.name == f"fuzz{run.seed}"
-        and run.pipeline.planner == "dp"
-        and run.calibration == "default"
-        and run.cluster.profile == "grpc_tf112"
-    )
-
-
 def build_cluster(spec: ClusterSpec):
     """The :class:`~repro.cluster.topology.Cluster` a cluster spec names."""
     from repro.cluster.catalog import paper_cluster
@@ -170,68 +88,84 @@ def build_model(spec: ModelSpec):
     return MODELS.get(spec.name)()
 
 
+@lru_cache(maxsize=128)
+def build_plans(
+    cluster_spec: ClusterSpec,
+    model_spec: ModelSpec,
+    calibration: str,
+    allocation: str,
+    nm: int,
+    planner: str,
+    placement: str,
+    memory_variant: str | None,
+):
+    """``(cluster, model, plans)`` for one deployment — the one build path.
+
+    The arguments are exactly what planning reads: ``placement`` gates
+    :func:`~repro.wsp.placement.validate_local_placement`, and
+    ``memory_variant`` names the variant whose weight-version accounting
+    memory-limited planning charges (``None`` keeps the historical
+    per-minibatch stash).  Seed, staleness bound, windows, push cadence,
+    jitter, network model, shards, fidelity, oracles and faults play no
+    part, so runs differing only in those share one cache entry.  Call
+    it positionally: the cache keys on the argument tuple as passed.
+
+    Raises :class:`~repro.errors.UnknownNameError` for unresolvable
+    names and :class:`~repro.errors.PartitionError` for infeasible
+    deployments (not cached — a retry re-plans).
+    """
+    from repro.allocation import allocate
+    from repro.models.profiler import Profiler
+    from repro.wsp.placement import validate_local_placement
+
+    cluster = build_cluster(cluster_spec)
+    model = build_model(model_spec)
+    calib = CALIBRATIONS.get(calibration)()
+    plan = PLANNERS.get(planner)
+    if memory_variant is None:
+        weight_policy = "stash_per_minibatch"
+    else:
+        from repro.pipeline.variants import get_variant
+
+        weight_policy = get_variant(memory_variant).weight_policy
+    profiler = Profiler(calib)
+    plans = tuple(
+        plan(
+            model, vw, nm, cluster.interconnect, calib, profiler,
+            weight_policy=weight_policy,
+        )
+        for vw in allocate(cluster, allocation).virtual_workers
+    )
+    if placement == "local":
+        validate_local_placement(plans)
+    return cluster, model, plans
+
+
 def build_scenario(run: RunSpec):
     """Cluster + model + per-VW plans for a scenario-kind ``run``.
 
-    Deterministic and memoized; the same spec always yields identical
-    (shared, immutable) objects.  Raises
-    :class:`~repro.errors.UnknownNameError` for unresolvable names and
-    :class:`~repro.errors.PartitionError` for infeasible deployments.
+    Deterministic and memoized through :func:`build_plans`; the same
+    deployment always yields identical (shared, immutable) objects.
+    Raises :class:`~repro.errors.UnknownNameError` for unresolvable
+    names and :class:`~repro.errors.PartitionError` for infeasible
+    deployments (a :class:`~repro.errors.SpecError` naming the ways out
+    for memory-limited ones).
     """
-    from repro.scenarios.generator import Scenario, materialize
+    from repro.scenarios.generator import Scenario
 
-    sspec = run_to_scenario_spec(run)
+    spec = run_to_scenario_spec(run)
+    pipeline = run.pipeline
     try:
-        if _is_fuzz_representable(run):
-            return materialize(sspec)
+        cluster, model, plans = build_plans(
+            run.cluster, run.model, run.calibration, pipeline.allocation,
+            pipeline.nm, pipeline.planner, pipeline.placement,
+            pipeline.variant if pipeline.memory_limited else None,
+        )
     except PartitionError as exc:
-        if run.pipeline.memory_limited:
+        if pipeline.memory_limited:
             raise _memory_limited_error(run, exc) from exc
         raise
-    # Cache key: only what planning can observe — the cluster, model,
-    # calibration, and the pipeline's nm/allocation/planner/placement
-    # (placement gates validate_local_placement), plus the variant when
-    # memory-limited planning makes its weight-version accounting
-    # observable.  Everything else — seed, network model, fidelity,
-    # oracle suite, staleness bound, window sizes, push cadence, jitter
-    # — plays no part in building, so specs differing only in those
-    # share one entry (a sweep over fidelity, seeds, or measured_waves
-    # re-plans nothing); the derived ScenarioSpec is re-wrapped below
-    # with the requested run's fields.
-    canonical = replace(
-        run,
-        seed=0,
-        pipeline=replace(
-            run.pipeline,
-            d=0,
-            shards=1,
-            shard_placement="size_balanced",
-            variant=(
-                run.pipeline.variant
-                if run.pipeline.memory_limited
-                else "vw_hetpipe"
-            ),
-            push_every_minibatch=False,
-            jitter=0.0,
-            warmup_waves=2,
-            measured_waves=8,
-        ),
-        network=NetworkSpec(),
-        fidelity=FidelitySpec(),
-        oracles="default",
-        faults=None,
-    )
-    try:
-        built = _build_general_cached(canonical)
-    except PartitionError as exc:
-        if run.pipeline.memory_limited:
-            raise _memory_limited_error(run, exc) from exc
-        raise
-    if built.spec == sspec:
-        return built
-    return Scenario(
-        spec=sspec, cluster=built.cluster, model=built.model, plans=built.plans
-    )
+    return Scenario(spec=spec, cluster=cluster, model=model, plans=plans)
 
 
 def _memory_limited_error(run: RunSpec, exc: PartitionError) -> SpecError:
@@ -248,44 +182,6 @@ def _memory_limited_error(run: RunSpec, exc: PartitionError) -> SpecError:
         f"Lower pipeline.nm, switch to a lighter weight-version policy "
         f"(pipedream_2bw or xpipe), or set pipeline.memory_limited=false "
         f"to keep the historical accounting.  [{exc}]"
-    )
-
-
-@lru_cache(maxsize=64)
-def _build_general_cached(run: RunSpec):
-    """The registry-resolving build path (planning is the expensive part).
-
-    Keyed on the dedicated-network canonical spec: the network model
-    plays no part in planning (mirrors the generator's memoization).
-    """
-    from repro.allocation import allocate
-    from repro.models.profiler import Profiler
-    from repro.scenarios.generator import Scenario
-    from repro.wsp.placement import validate_local_placement
-
-    cluster = build_cluster(run.cluster)
-    model = build_model(run.model)
-    calibration = CALIBRATIONS.get(run.calibration)()
-    planner = PLANNERS.get(run.pipeline.planner)
-    assignment = allocate(cluster, run.pipeline.allocation)
-    profiler = Profiler(calibration)
-    if run.pipeline.memory_limited:
-        from repro.pipeline.variants import get_variant
-
-        weight_policy = get_variant(run.pipeline.variant).weight_policy
-    else:
-        weight_policy = "stash_per_minibatch"
-    plans = tuple(
-        planner(
-            model, vw, run.pipeline.nm, cluster.interconnect, calibration, profiler,
-            weight_policy=weight_policy,
-        )
-        for vw in assignment.virtual_workers
-    )
-    if run.pipeline.placement == "local":
-        validate_local_placement(plans)
-    return Scenario(
-        spec=run_to_scenario_spec(run), cluster=cluster, model=model, plans=plans
     )
 
 

@@ -789,47 +789,40 @@ def expand_sweep(spec: RunSpec) -> list[RunSpec]:
     return [replace(point, sweep=None) for point in points]
 
 
-def fidelity_mode(fidelity: "str | FidelitySpec", caller: str) -> str:
-    """Resolve a ``fidelity`` argument that may be typed or legacy.
+def fidelity_mode(fidelity: "FidelitySpec | None", caller: str) -> str:
+    """The fidelity mode a standalone measurement surface runs under.
 
-    The canonical form is a :class:`FidelitySpec` (or a whole
-    :class:`RunSpec` upstream); a bare non-default string still works as
-    a shim but emits a :class:`DeprecationWarning` naming ``caller``.
-    The default ``"full"`` string stays silent — it is the absence of
-    the knob, not a use of the legacy surface.
+    ``fidelity`` is a :class:`FidelitySpec` (``None`` means the default,
+    full fidelity); anything else — a bare mode string included — is a
+    :class:`SpecError` naming ``caller``.
 
     The standalone measurement surfaces honor only the ``fidelity``
     field (they have no equivalence twin and scale their own windows in
     minibatches), so a spec carrying ``waves_scale`` or
     ``verify_equivalence`` is rejected rather than silently truncated.
     """
-    if isinstance(fidelity, FidelitySpec):
-        unsupported = [
-            name
-            for name, is_set in (
-                ("waves_scale", fidelity.waves_scale != 1),
-                ("verify_equivalence", fidelity.verify_equivalence is not None),
-            )
-            if is_set
-        ]
-        if unsupported:
-            raise SpecError(
-                f"{caller} honors only FidelitySpec.fidelity; "
-                f"{', '.join(unsupported)} has no effect here — drive the "
-                f"run from a full RunSpec for those knobs"
-            )
-        return fidelity.fidelity
-    if fidelity != "full":
-        import warnings
-
-        warnings.warn(
-            f"passing fidelity={fidelity!r} directly to {caller} is "
-            f"deprecated; pass a repro.api.FidelitySpec (or drive the run "
-            f"from a RunSpec)",
-            DeprecationWarning,
-            stacklevel=3,
+    if fidelity is None:
+        return "full"
+    if not isinstance(fidelity, FidelitySpec):
+        raise SpecError(
+            f"{caller} takes fidelity as a repro.api.FidelitySpec, got "
+            f"{fidelity!r}; pass FidelitySpec(fidelity=...)"
         )
-    return fidelity
+    unsupported = [
+        name
+        for name, is_set in (
+            ("waves_scale", fidelity.waves_scale != 1),
+            ("verify_equivalence", fidelity.verify_equivalence is not None),
+        )
+        if is_set
+    ]
+    if unsupported:
+        raise SpecError(
+            f"{caller} honors only FidelitySpec.fidelity; "
+            f"{', '.join(unsupported)} has no effect here — drive the "
+            f"run from a full RunSpec for those knobs"
+        )
+    return fidelity.fidelity
 
 
 def axis_assignments(spec: RunSpec, point: RunSpec) -> str:

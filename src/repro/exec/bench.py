@@ -133,14 +133,14 @@ def bench_plan_cache() -> dict[str, float]:
 
 
 def _clear_scenario_caches() -> None:
-    """Reset the memoized scenario materialization *and* the partition
-    planner's boundaries cache so every fuzz measurement starts cold —
-    otherwise whichever fidelity runs second would be timed against a
-    warm cache."""
+    """Reset the memoized scenario build *and* the partition planner's
+    boundaries cache so every fuzz measurement starts cold — otherwise
+    whichever fidelity runs second would be timed against a warm
+    cache."""
+    from repro.api.build import build_plans
     from repro.partition import clear_plan_cache
-    from repro.scenarios import generator
 
-    generator._materialize_cached.cache_clear()
+    build_plans.cache_clear()
     clear_plan_cache()
 
 

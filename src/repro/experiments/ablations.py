@@ -23,7 +23,6 @@ from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.partition import max_feasible_nm, plan_virtual_worker
 from repro.pipeline import measure_pipeline
 from repro.pipeline.one_f_one_b import measure_1f1b_pipeline
-from repro.pipeline.variants import measure_flush_pipeline
 from repro.units import mib
 from repro.wsp import measure_hetpipe
 
@@ -91,9 +90,12 @@ def run_ablations(
     # 3. GPipe-style flush vs continuous pipeline on an identical plan
     plan = choice.plans[0]
     continuous = measure_pipeline(plan, cluster.interconnect, model.batch_size, measured_minibatches=40)
-    flush = measure_flush_pipeline(plan, cluster.interconnect, model.batch_size, measured_minibatches=40)
+    flush = measure_pipeline(
+        plan, cluster.interconnect, model.batch_size, measured_minibatches=40,
+        variant="gpipe_flush",
+    )
     rows.append(AblationRow("pipeline-style", "hetpipe-continuous", continuous.throughput, "img/s"))
-    rows.append(AblationRow("pipeline-style", "gpipe-flush", flush, "img/s"))
+    rows.append(AblationRow("pipeline-style", "gpipe-flush", flush.throughput, "img/s"))
 
     # 3b. PipeDream-style 1F1B dispatch on the same plan (§2.3 / §9)
     one_f_one_b = measure_1f1b_pipeline(

@@ -19,19 +19,16 @@ parameter servers.
 from repro.pipeline.tasks import AdmissionGate, OpenGate, wave_minibatches, wave_of
 from repro.pipeline.one_f_one_b import OneFOneBPipeline, measure_1f1b_pipeline
 from repro.pipeline.timeline import render_timeline
-from repro.pipeline.variants import GPipeFlushGate, measure_flush_pipeline
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.pipeline.metrics import PipelineMetrics, measure_pipeline
 
 __all__ = [
     "AdmissionGate",
-    "GPipeFlushGate",
     "OneFOneBPipeline",
     "OpenGate",
     "PipelineMetrics",
     "VirtualWorkerPipeline",
     "measure_1f1b_pipeline",
-    "measure_flush_pipeline",
     "measure_pipeline",
     "render_timeline",
     "wave_minibatches",

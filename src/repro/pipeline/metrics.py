@@ -1,9 +1,12 @@
 """Steady-state pipeline measurement.
 
-Runs a :class:`VirtualWorkerPipeline` alone (open gate, no parameter
-server) for a warmup phase plus a measured window and reports the
-numbers Figure 3 plots: throughput (images/s) and per-stage GPU
-utilization, of which the paper reports the maximum across partitions.
+Runs a :class:`VirtualWorkerPipeline` alone (no parameter server) for a
+warmup phase plus a measured window and reports the numbers Figure 3
+plots: throughput (images/s) and per-stage GPU utilization, of which the
+paper reports the maximum across partitions.  The admission gate is the
+variant's (:mod:`repro.pipeline.variants`) over a bounded count, so the
+Table-2 GPipe ablation is the same measurement with
+``variant="gpipe_flush"``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from repro.cluster.topology import InterconnectSpec
 from repro.errors import SimulationError
 from repro.partition.spec import PartitionPlan
 from repro.pipeline.tasks import CountingGate
+from repro.pipeline.variants import DEFAULT_VARIANT, build_variant_gate, get_variant
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.sim.engine import Simulator
 
@@ -50,32 +54,34 @@ def measure_pipeline(
     batch_size: int,
     warmup_minibatches: int | None = None,
     measured_minibatches: int = 60,
-    fidelity="full",
+    fidelity=None,
+    variant: str = DEFAULT_VARIANT,
 ) -> PipelineMetrics:
     """Measure one virtual worker in isolation.
 
     ``warmup_minibatches`` defaults to ``4 * Nm + 2 * k`` which is ample
     for the pipe to reach steady state.
 
-    ``fidelity`` is canonically a :class:`repro.api.spec.FidelitySpec`;
-    a bare ``"fast_forward"`` string still works as a deprecation shim
-    (bit-identical behavior, plus a :class:`DeprecationWarning`).
-    Fast-forward coalesces confirmed steady-state cycles between the
-    window boundaries (which are always simulated, so the busy-time
-    samples taken there are real); results match the full run within
-    the 1e-9 semantic-equivalence contract.
+    ``variant`` picks the admission rule: the default keeps the
+    continuous HetPipe pipeline, ``"gpipe_flush"`` admits wave ``w``
+    only after every earlier wave drained (the Table-2 ablation).
+
+    ``fidelity`` is a :class:`repro.api.spec.FidelitySpec` (``None``
+    means full fidelity).  Fast-forward coalesces confirmed steady-state
+    cycles between the window boundaries (which are always simulated,
+    so the busy-time samples taken there are real); results match the
+    full run within the 1e-9 semantic-equivalence contract.
     """
     from repro.api.spec import fidelity_mode
-    from repro.sim.fastforward import run_pipeline_fast_forward, validate_fidelity
+    from repro.sim.fastforward import run_pipeline_fast_forward
 
     fidelity = fidelity_mode(fidelity, "measure_pipeline")
-    validate_fidelity(fidelity)
     if warmup_minibatches is None:
         warmup_minibatches = 4 * plan.nm + 2 * plan.k
     total = warmup_minibatches + measured_minibatches
 
     sim = Simulator()
-    gate = CountingGate(limit=total)
+    gate = build_variant_gate(get_variant(variant), CountingGate(limit=total), plan.nm)
     marks: dict[str, tuple[float, list[float]]] = {}
 
     def on_done(p: int, now: float) -> None:
@@ -87,6 +93,8 @@ def measure_pipeline(
     pipeline = VirtualWorkerPipeline(
         sim, plan, interconnect, name=plan.model_name, gate=gate, on_minibatch_done=on_done
     )
+    if hasattr(gate, "attach"):
+        gate.attach(pipeline)
     pipeline.start()
     if fidelity == "fast_forward":
         run_pipeline_fast_forward(

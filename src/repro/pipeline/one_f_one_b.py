@@ -236,23 +236,22 @@ def measure_1f1b_pipeline(
     batch_size: int,
     warmup_minibatches: int | None = None,
     measured_minibatches: int = 60,
-    fidelity="full",
+    fidelity=None,
 ) -> float:
     """Throughput (images/s) of ``plan`` under 1F1B dispatch.
 
-    ``fidelity`` is canonically a :class:`repro.api.spec.FidelitySpec`;
-    a bare ``"fast_forward"`` string still works as a deprecation shim.
-    Fast-forward coalesces confirmed steady-state cycles (the 1F1B
-    pipeline is deterministic, so long measurement windows collapse to
-    warmup + detection + drain); the measured window is identical to
-    the full run within the 1e-9 semantic contract because coalesced
-    completion times are filled from the confirmed cycle.
+    ``fidelity`` is a :class:`repro.api.spec.FidelitySpec` (``None``
+    means full fidelity).  Fast-forward coalesces confirmed steady-state
+    cycles (the 1F1B pipeline is deterministic, so long measurement
+    windows collapse to warmup + detection + drain); the measured window
+    is identical to the full run within the 1e-9 semantic contract
+    because coalesced completion times are filled from the confirmed
+    cycle.
     """
     from repro.api.spec import fidelity_mode
-    from repro.sim.fastforward import run_pipeline_fast_forward, validate_fidelity
+    from repro.sim.fastforward import run_pipeline_fast_forward
 
     fidelity = fidelity_mode(fidelity, "measure_1f1b_pipeline")
-    validate_fidelity(fidelity)
     if warmup_minibatches is None:
         warmup_minibatches = 4 * plan.nm + 2 * plan.k
     total = warmup_minibatches + measured_minibatches

@@ -1,16 +1,16 @@
 """Pipeline scheduling variants — the zoo across the pipelined-training
-literature, plus the original Table-2 GPipe ablation.
+literature.
 
 :mod:`~repro.pipeline.variants.defs` declares each variant's semantics
 (:class:`VariantDef`: weight-version policy, admission/flush gate,
 staleness contract) for ``vw_hetpipe`` (the default), ``gpipe_flush``,
-``pipedream``, ``pipedream_2bw``, and ``xpipe``;
+``pipedream``, ``pipedream_2bw``, and ``xpipe``; and
 :mod:`~repro.pipeline.variants.gates` builds the admission gates the
-WSP runtime composes per variant; and
-:mod:`~repro.pipeline.variants.measure` keeps the standalone GPipe
-flush-throughput measurement.  Name resolution goes through the
-``VARIANTS`` registry in :mod:`repro.api.registry` (or directly via
-:func:`get_variant`), both raising the typed
+WSP runtime composes per variant.  The Table-2 GPipe ablation is the
+same flush gate in a standalone run,
+``measure_pipeline(..., variant="gpipe_flush")``.  Name resolution goes
+through the ``VARIANTS`` registry in :mod:`repro.api.registry` (or
+directly via :func:`get_variant`), both raising the typed
 :class:`~repro.errors.UnknownNameError` on a miss.
 """
 
@@ -23,23 +23,19 @@ from repro.pipeline.variants.defs import (
 )
 from repro.pipeline.variants.gates import (
     ComposedGate,
-    GPipeFlushGate,
     VersionWindowGate,
     WaveFlushGate,
     build_variant_gate,
 )
-from repro.pipeline.variants.measure import measure_flush_pipeline
 
 __all__ = [
     "ComposedGate",
     "DEFAULT_VARIANT",
-    "GPipeFlushGate",
     "VARIANT_DEFS",
     "VariantDef",
     "VersionWindowGate",
     "WaveFlushGate",
     "build_variant_gate",
     "get_variant",
-    "measure_flush_pipeline",
     "variant_names",
 ]

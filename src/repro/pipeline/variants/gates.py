@@ -1,11 +1,10 @@
 """Admission gates for the pipeline-variant zoo.
 
-:class:`GPipeFlushGate` is the standalone Table-2 ablation gate (wave
-flush with a bounded admission count, used by
-:func:`~repro.pipeline.variants.measure.measure_flush_pipeline`).
-
-The remaining gates are *conditions* the WSP runtime AND-composes with
-its staleness gate via :class:`ComposedGate`:
+Each gate is a *condition* AND-composed with a base gate via
+:class:`ComposedGate` — the WSP runtime's staleness gate, or the
+bounded :class:`~repro.pipeline.tasks.CountingGate` of a standalone
+:func:`~repro.pipeline.metrics.measure_pipeline` run (whose
+``variant="gpipe_flush"`` is the Table-2 ablation):
 
 * :class:`WaveFlushGate` — GPipe semantics inside a WSP run: a
   minibatch of wave ``w`` is admitted only once every earlier wave has
@@ -24,37 +23,12 @@ independently of admission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.pipeline.tasks import wave_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.virtual_worker import VirtualWorkerPipeline
-
-
-@dataclass
-class GPipeFlushGate:
-    """Admit wave ``w`` only after all earlier waves fully completed."""
-
-    nm: int
-    limit: int  # total minibatches to admit (bounded measurement runs)
-    completed: int = 0
-    _wake: Callable[[], None] | None = None
-
-    def may_start(self, minibatch: int) -> bool:
-        if minibatch > self.limit:
-            return False
-        wave = wave_of(minibatch, self.nm)
-        return self.completed >= wave * self.nm
-
-    def subscribe(self, wake: Callable[[], None]) -> None:
-        self._wake = wake
-
-    def on_done(self) -> None:
-        self.completed += 1
-        if self._wake is not None:
-            self._wake()
 
 
 class WaveFlushGate:

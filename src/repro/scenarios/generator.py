@@ -10,26 +10,31 @@ and — because the simulator itself is deterministic — the entire run,
 down to the trace digest.
 
 The split between :class:`ScenarioSpec` (a frozen, replayable value
-object) and :func:`materialize` (spec -> built objects) means a failing
-seed can be re-run bit-identically from just its spec.
+object) and :func:`materialize` (spec -> built objects, through the one
+memoized :func:`repro.api.build.build_plans`) means a failing seed can
+be re-run bit-identically from just its spec.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
-from repro.allocation import allocate
-from repro.cluster.catalog import paper_cluster
+from repro.api.build import build_plans
+from repro.api.spec import (
+    ClusterSpec,
+    FidelitySpec,
+    ModelSpec,
+    NetworkSpec,
+    PipelineSpec,
+    RunSpec,
+)
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError, PartitionError
-from repro.models.calibration import DEFAULT_CALIBRATION
 from repro.netsim.fabric import FabricSpec
 from repro.models.graph import ModelGraph, validate_chain
 from repro.models.layers import conv_unit, fc_unit, pool_unit
-from repro.models.profiler import Profiler
-from repro.partition import PartitionPlan, plan_virtual_worker
+from repro.partition import PartitionPlan
 from repro.units import BYTES_PER_PARAM
 from repro.wsp.placement import validate_local_placement
 
@@ -83,26 +88,61 @@ class ScenarioSpec:
     #: weight-version accounting (never drawn; spec-only)
     memory_limited: bool = False
 
+    def _cluster_and_model(self) -> tuple[ClusterSpec, ModelSpec]:
+        """The typed cluster and model sections this scenario builds
+        from; the generator names every model ``fuzz<seed>``."""
+        return (
+            ClusterSpec(node_codes=self.node_codes, gpus_per_node=self.gpus_per_node),
+            ModelSpec(
+                name=f"fuzz{self.seed}",
+                batch_size=self.batch_size,
+                image_size=self.image_size,
+                conv_widths=self.conv_widths,
+                fc_dims=self.fc_dims,
+            ),
+        )
+
     def to_run_spec(
         self,
         fidelity: str = "full",
         verify_equivalence: bool | None = None,
         waves_scale: int = 1,
-    ):
+    ) -> RunSpec:
         """Lift this scenario into the typed API's :class:`RunSpec`.
 
-        The RunSpec is the canonical interchange form: the fuzz runner
+        The RunSpec is the canonical interchange form: the runner
         reconstructs an identical ``ScenarioSpec`` from it (see
         :func:`repro.api.build.run_to_scenario_spec`), so a seed's run —
-        digest included — is bit-identical through either entry.
+        digest included — is fully described by the RunSpec.
+        ``waves_scale`` moves into the fidelity section, so
+        ``measured_waves`` must be the unscaled window.
         """
-        from repro.api.build import scenario_spec_to_run
-
-        return scenario_spec_to_run(
-            self,
-            fidelity=fidelity,
-            verify_equivalence=verify_equivalence,
-            waves_scale=waves_scale,
+        cluster, model = self._cluster_and_model()
+        return RunSpec(
+            kind="scenario",
+            seed=self.seed,
+            cluster=cluster,
+            model=model,
+            pipeline=PipelineSpec(
+                nm=self.nm,
+                d=self.d,
+                allocation=self.allocation,
+                placement=self.placement,
+                shards=self.shards,
+                shard_placement=self.shard_placement,
+                variant=self.variant,
+                memory_limited=self.memory_limited,
+                push_every_minibatch=self.push_every_minibatch,
+                jitter=self.jitter,
+                warmup_waves=self.warmup_waves,
+                measured_waves=self.measured_waves,
+            ),
+            network=NetworkSpec(model=self.network_model),
+            fidelity=FidelitySpec(
+                fidelity=fidelity,
+                verify_equivalence=verify_equivalence,
+                waves_scale=waves_scale,
+            ),
         )
 
     def describe(self) -> str:
@@ -180,65 +220,18 @@ def materialize(spec: ScenarioSpec) -> Scenario:
     generator never emits such a spec) and :class:`ConfigurationError`
     for internally-inconsistent specs.
 
-    Materialization is memoized: the fuzz flow builds the same spec
-    several times (the generator's Nm descent, the runner, the dedicated
-    twin), and planning is the expensive part.  The built objects are
-    immutable, so sharing one :class:`Scenario` across runs is safe —
-    every run constructs its own simulator, channels, and processors.
-    The network model plays no part in planning, so specs differing only
-    in ``network_model`` share an entry (re-wrapped with the requested
-    spec).
+    A thin adapter over :func:`repro.api.build.build_plans`, the one
+    memoized build path: the fuzz flow builds the same deployment
+    several times (the generator's Nm descent, the runner, its twins),
+    and planning is the expensive part.  The built objects are
+    immutable, so sharing them across runs is safe — every run
+    constructs its own simulator, channels, and processors.
     """
-    canonical = (
-        spec
-        if spec.network_model == "dedicated"
-        and spec.shards == 1
-        and spec.shard_placement == "size_balanced"
-        and (spec.variant == "vw_hetpipe" or spec.memory_limited)
-        else replace(
-            spec,
-            network_model="dedicated",
-            shards=1,
-            shard_placement="size_balanced",
-            # the variant only reaches planning through memory-limited
-            # weight-version accounting; otherwise plans are identical
-            # and specs differing only in variant share one entry
-            variant=spec.variant if spec.memory_limited else "vw_hetpipe",
-        )
+    cluster, model, plans = build_plans(
+        *spec._cluster_and_model(),
+        "default", spec.allocation, spec.nm, "dp", spec.placement,
+        spec.variant if spec.memory_limited else None,
     )
-    scenario = _materialize_cached(canonical)
-    if scenario.spec is spec or scenario.spec == spec:
-        return scenario
-    return Scenario(
-        spec=spec, cluster=scenario.cluster, model=scenario.model, plans=scenario.plans
-    )
-
-
-@lru_cache(maxsize=128)
-def _materialize_cached(spec: ScenarioSpec) -> Scenario:
-    cluster = paper_cluster(node_codes=spec.node_codes, gpus_per_node=spec.gpus_per_node)
-    model = build_fuzz_model(
-        f"fuzz{spec.seed}", spec.batch_size, spec.image_size,
-        spec.conv_widths, spec.fc_dims,
-    )
-    assignment = allocate(cluster, spec.allocation)
-    profiler = Profiler(DEFAULT_CALIBRATION)
-    if spec.memory_limited:
-        from repro.pipeline.variants import get_variant
-
-        weight_policy = get_variant(spec.variant).weight_policy
-    else:
-        weight_policy = "stash_per_minibatch"
-    plans = tuple(
-        plan_virtual_worker(
-            model, vw, spec.nm, cluster.interconnect,
-            DEFAULT_CALIBRATION, profiler, search_orderings=False,
-            weight_policy=weight_policy,
-        )
-        for vw in assignment.virtual_workers
-    )
-    if spec.placement == "local":
-        validate_local_placement(plans)
     return Scenario(spec=spec, cluster=cluster, model=model, plans=plans)
 
 

@@ -22,12 +22,11 @@ attached, then closes with three independent verdicts:
 Every run is deterministic; :class:`ScenarioResult.digest` hashes the
 full trace so replays can be compared bit-for-bit.
 
-Scenarios are canonically described by a typed
-:class:`~repro.api.spec.RunSpec` — :func:`run_scenario` accepts one
-directly (legacy :class:`ScenarioSpec` inputs are lifted into one), the
-fuzz driver constructs one per seed, and every result records the
-spec's ``spec_hash`` so any artifact is traceable to, and replayable
-from, its exact configuration (``repro run <spec.json>``).
+Scenarios are described by a typed :class:`~repro.api.spec.RunSpec` —
+the only input :func:`run_scenario` takes.  The fuzz driver constructs
+one per seed, and every result records the spec's ``spec_hash`` so any
+artifact is traceable to, and replayable from, its exact configuration
+(``repro run <spec.json>``).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import Any, Iterable, Sequence
 
 from repro.api.build import build_scenario
 from repro.api.spec import SPEC_SCHEMA, FidelitySpec, RunSpec
-from repro.errors import InvariantViolation, ReproError, SimulationError
+from repro.errors import InvariantViolation, ReproError, SimulationError, SpecError
 from repro.netsim.fabric import DEFAULT_FABRIC_SPEC, FabricSpec
 from repro.pipeline.one_f_one_b import OneFOneBPipeline
 from repro.scenarios.generator import (
@@ -455,20 +454,13 @@ def _snapshots(runtime: HetPipeRuntime) -> dict[str, Any]:
     return snap
 
 
-def run_scenario(
-    spec: ScenarioSpec | RunSpec,
-    fidelity: str | None = None,
-    verify_equivalence: bool | None = None,
-    capture_diagnostics: bool = False,
-) -> ScenarioResult:
-    """Execute one scenario end to end and return its verdict.
+def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioResult:
+    """Execute one scenario-kind ``run`` end to end and return its verdict.
 
-    ``spec`` is canonically a typed :class:`~repro.api.spec.RunSpec`
-    (every fuzz seed arrives as one); a legacy :class:`ScenarioSpec` is
-    lifted into a RunSpec internally, so both entries run the exact
-    same code and produce byte-identical digests.  The explicit
-    ``fidelity`` / ``verify_equivalence`` arguments, when given,
-    override the spec's fidelity section.
+    Every fuzz seed arrives as a :class:`~repro.api.spec.RunSpec`
+    (a generated :class:`ScenarioSpec` lifts into one through
+    :meth:`ScenarioSpec.to_run_spec`); anything else raises
+    :class:`~repro.errors.SpecError`.
 
     Shared-network scenarios additionally run their dedicated twin and
     assert the contention oracle: adding contention (and a congested
@@ -479,34 +471,22 @@ def run_scenario(
     fabrics execute genuinely different admission schedules and the
     monotone-makespan premise does not hold.
 
-    ``fidelity="full"`` (the default) is the historical bit-identical
-    contract: digests hash every raw record under ``hetpipe-trace/1``.
-    ``fidelity="fast_forward"`` coalesces confirmed steady-state cycles
-    and hashes under the semantic ``hetpipe-trace/2`` schema; with
-    ``verify_equivalence`` (the default under fast_forward) the full-
-    fidelity twin also runs and any deviation of makespan, utilization,
-    counts, or staleness statistics beyond 1e-9 relative is reported as
-    an ``equivalence:`` violation.
+    ``run.fidelity.fidelity="full"`` (the default) is the historical
+    bit-identical contract: digests hash every raw record under
+    ``hetpipe-trace/1``.  ``"fast_forward"`` coalesces confirmed
+    steady-state cycles and hashes under the semantic
+    ``hetpipe-trace/2`` schema; with ``verify_equivalence`` (the default
+    under fast_forward) the full-fidelity twin also runs and any
+    deviation of makespan, utilization, counts, or staleness statistics
+    beyond 1e-9 relative is reported as an ``equivalence:`` violation.
     """
-    if isinstance(spec, RunSpec):
-        run = spec
-        if fidelity is not None and fidelity != run.fidelity.fidelity:
-            run = replace(run, fidelity=replace(run.fidelity, fidelity=fidelity))
-        if (
-            verify_equivalence is not None
-            and verify_equivalence != run.fidelity.verify_equivalence
-        ):
-            run = replace(
-                run,
-                fidelity=replace(run.fidelity, verify_equivalence=verify_equivalence),
-            )
-    else:
-        run = spec.to_run_spec(
-            fidelity=fidelity if fidelity is not None else "full",
-            verify_equivalence=verify_equivalence,
+    if not isinstance(run, RunSpec):
+        raise SpecError(
+            f"run_scenario takes a repro.api.RunSpec, got "
+            f"{type(run).__name__}; lift a ScenarioSpec with "
+            f"ScenarioSpec.to_run_spec()"
         )
     fidelity = run.fidelity.fidelity
-    validate_fidelity(fidelity)
     verify_equivalence = run.fidelity.verify_equivalence
     if verify_equivalence is None:
         verify_equivalence = fidelity == "fast_forward"

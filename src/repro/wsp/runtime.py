@@ -10,7 +10,6 @@ and cross-node traffic split into pipeline and synchronization bytes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -31,7 +30,6 @@ from repro.sim.fastforward import (
     collect_counters,
     collect_shape,
     pipeline_components,
-    validate_fidelity,
 )
 from repro.sim.trace import Trace
 from repro.wsp.parameter_server import ParameterServerSim
@@ -96,24 +94,10 @@ class HetPipeRuntime:
         oracles: "Sequence[RuntimeOracle]" = (),
         network_model: str = "dedicated",
         fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
-        fidelity: str = "full",
         obs=None,
         planner: str = "dp",
         variant: str = DEFAULT_VARIANT,
-        _spec_constructed: bool = False,
     ) -> None:
-        validate_fidelity(fidelity)
-        if fidelity != "full" and not _spec_constructed:
-            # Spec-addressable axes belong in a RunSpec; the direct
-            # kwarg stays as a shim (bit-identical — proven by
-            # tests/test_api_run.py's digest-equality test).
-            warnings.warn(
-                "passing fidelity= directly to HetPipeRuntime is "
-                "deprecated; describe the run with a repro.api.RunSpec "
-                "and construct via HetPipeRuntime.from_spec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if not plans:
             raise ConfigurationError("need at least one virtual worker plan")
         nms = {plan.nm for plan in plans}
@@ -142,7 +126,6 @@ class HetPipeRuntime:
         self.calibration = calibration
         self.push_every_minibatch = push_every_minibatch
         self.network_model = network_model
-        self.fidelity = fidelity
         self.jitter = jitter
         #: planner registry name — elastic re-partitioning re-runs it on
         #: the surviving GPUs after a permanent node loss
@@ -261,16 +244,9 @@ class HetPipeRuntime:
             self._done_oracles = []
             self._pull_oracles = []
 
-        # Steady-state fast-forward: armed only under the fast_forward
-        # fidelity, and only for regimes whose cycles can repeat exactly
-        # — task jitter is aperiodic by construction, and the shared
-        # fabric keeps a per-flow ledger that a skip cannot summarize.
-        # Ineligible runs silently execute at full fidelity.
-        self._ff = (
-            _RuntimeFastForward(self)
-            if fidelity == "fast_forward" and jitter == 0.0 and self.fabric is None
-            else None
-        )
+        #: steady-state fast-forward; :meth:`from_spec` arms it under the
+        #: fast_forward fidelity
+        self._ff: _RuntimeFastForward | None = None
 
         if obs is not None:
             obs.install_sampler(self.sim)
@@ -305,7 +281,7 @@ class HetPipeRuntime:
             cluster = scenario.cluster if cluster is None else cluster
             model = scenario.model if model is None else model
             plans = list(scenario.plans) if plans is None else plans
-        return cls(
+        runtime = cls(
             cluster,
             model,
             list(plans),
@@ -320,12 +296,21 @@ class HetPipeRuntime:
             oracles=oracles,
             network_model=run.network.model,
             fabric_spec=fabric_spec,
-            fidelity=run.fidelity.fidelity,
             obs=obs,
             planner=run.pipeline.planner,
             variant=run.pipeline.variant,
-            _spec_constructed=True,
         )
+        # Fast-forward is armed only for regimes whose cycles can repeat
+        # exactly — task jitter is aperiodic by construction, and the
+        # shared fabric keeps a per-flow ledger that a skip cannot
+        # summarize.  Ineligible runs silently execute at full fidelity.
+        if (
+            run.fidelity.fidelity == "fast_forward"
+            and runtime.jitter == 0.0
+            and runtime.fabric is None
+        ):
+            runtime._ff = _RuntimeFastForward(runtime)
+        return runtime
 
     # ------------------------------------------------------------------
     # oracle plumbing

@@ -1,13 +1,16 @@
-"""Spec-driven execution: registries, builds, run/sweep, CLI, shims.
+"""Spec-driven execution: registries, builds, run/sweep, CLI.
 
 Covers the API redesign's behavioral contracts:
 
 * registry misses raise :class:`UnknownNameError` naming what exists,
   and the CLI maps that (and :class:`SpecError`) to exit code 2;
-* a fuzz scenario run from its lifted ``RunSpec`` is byte-identical —
-  digest included — to the legacy ``ScenarioSpec`` path;
-* the deprecated direct-kwarg constructors still work, warn, and
-  produce byte-identical digests to their spec-built equivalents;
+* one memoized build path: the fuzz generator and a ``RunSpec`` share
+  the same built objects, keyed on exactly what planning reads;
+* a fuzz scenario run from its generated ``RunSpec`` is byte-identical —
+  digest included — to the same spec read back from JSON;
+* removed call forms (``ScenarioSpec`` into ``run_scenario``, bare
+  fidelity strings) raise a typed :class:`SpecError` naming the
+  replacement;
 * ``run_sweep`` returns in-order, ``--jobs``-independent results with
   stable per-point ``spec_hash`` values.
 """
@@ -24,6 +27,7 @@ from repro.api.build import (
     build_calibration,
     build_cluster,
     build_model,
+    build_plans,
     build_scenario,
     run_to_scenario_spec,
 )
@@ -41,6 +45,7 @@ from repro.api.run import run, run_sweep
 from repro.api.spec import (
     ClusterSpec,
     ExperimentSpec,
+    FaultSpec,
     FidelitySpec,
     ModelSpec,
     NetworkSpec,
@@ -142,12 +147,77 @@ class TestBuild:
         for a, b in zip(dp.plans, bnb.plans):
             assert a.bottleneck_period == pytest.approx(b.bottleneck_period)
 
-    def test_fuzz_representable_path_shares_generator_cache(self):
-        from repro.scenarios.generator import generate_scenario
+    @pytest.mark.parametrize("seed", [0, 3, 4])
+    def test_generator_and_spec_builds_share_objects(self, seed):
+        from repro.scenarios.generator import generate_run_spec, generate_scenario
 
-        scenario = generate_scenario(3)
-        rebuilt = build_scenario(scenario.spec.to_run_spec())
-        assert rebuilt is generate_scenario(3)
+        scenario = generate_scenario(seed)
+        rebuilt = build_scenario(generate_run_spec(seed))
+        assert rebuilt.cluster is scenario.cluster
+        assert rebuilt.model is scenario.model
+        assert rebuilt.plans is scenario.plans
+        assert rebuilt.spec == scenario.spec
+
+    @pytest.mark.parametrize(
+        "change, shared",
+        [
+            pytest.param(dict(pipeline=dict(d=3)), True, id="d"),
+            pytest.param(dict(pipeline=dict(jitter=0.1)), True, id="jitter"),
+            pytest.param(
+                dict(pipeline=dict(push_every_minibatch=True)), True, id="push-cadence"
+            ),
+            pytest.param(
+                dict(pipeline=dict(warmup_waves=3, measured_waves=16)), True,
+                id="windows",
+            ),
+            pytest.param(dict(network=NetworkSpec(model="shared")), True, id="network"),
+            pytest.param(
+                dict(pipeline=dict(shards=2, shard_placement="locality_aware")), True,
+                id="shards",
+            ),
+            pytest.param(
+                dict(fidelity=FidelitySpec(fidelity="fast_forward", waves_scale=4)),
+                True, id="fidelity",
+            ),
+            pytest.param(dict(oracles="staleness"), True, id="oracles"),
+            pytest.param(
+                dict(faults=FaultSpec(enabled=True, stragglers=1), oracles="faults"),
+                True, id="faults",
+            ),
+            pytest.param(dict(seed=99), True, id="seed"),
+            pytest.param(
+                dict(pipeline=dict(variant="gpipe_flush")), True,
+                id="variant-unlimited",
+            ),
+            pytest.param(dict(pipeline=dict(nm=2)), False, id="nm"),
+            pytest.param(dict(pipeline=dict(allocation="NP")), False, id="allocation"),
+            pytest.param(dict(pipeline=dict(planner="bnb")), False, id="planner"),
+            pytest.param(dict(pipeline=dict(placement="local")), False, id="placement"),
+            pytest.param(
+                dict(pipeline=dict(memory_limited=True)), False, id="memory-limited"
+            ),
+            pytest.param(
+                dict(pipeline=dict(memory_limited=True, variant="xpipe")), False,
+                id="memory-limited-variant",
+            ),
+        ],
+    )
+    def test_build_plans_keys_on_planning_inputs(self, change, shared):
+        """Fields planning never reads share one cache entry; each
+        planning input misses."""
+        base = small_scenario_spec()
+        change = dict(change)
+        pipeline = change.pop("pipeline", {})
+        varied = replace(base, pipeline=replace(base.pipeline, **pipeline), **change)
+        build_plans.cache_clear()
+        built = build_scenario(base)
+        rebuilt = build_scenario(varied)
+        info = build_plans.cache_info()
+        if shared:
+            assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+            assert rebuilt.plans is built.plans
+        else:
+            assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
 
     def test_run_to_scenario_spec_folds_waves_scale(self):
         spec = small_scenario_spec()
@@ -165,13 +235,14 @@ class TestBuild:
 
 class TestRunScenario:
     def test_run_spec_and_legacy_paths_are_byte_identical(self):
-        """The digest-equality contract of the API rewiring."""
+        """The generator's lifted spec and the same spec read back from
+        JSON (the ``repro run`` route) run byte-identically."""
         from repro.scenarios.generator import generate_scenario
         from repro.scenarios.runner import run_scenario
 
         sspec = generate_scenario(11).spec
-        legacy = run_scenario(sspec)
-        spec_built = run_scenario(sspec.to_run_spec())
+        legacy = run_scenario(sspec.to_run_spec())
+        spec_built = run_scenario(RunSpec.from_json(sspec.to_run_spec().to_json()))
         assert legacy.digest == spec_built.digest
         assert legacy.per_vw_completions == spec_built.per_vw_completions
         assert legacy.window == spec_built.window
@@ -187,12 +258,13 @@ class TestRunScenario:
         assert result.api_schema == SPEC_SCHEMA
         assert result.spec_hash[:12] in result.describe()
 
-    def test_explicit_fidelity_overrides_the_spec_section(self):
+    def test_fidelity_comes_from_the_spec_section(self):
         from repro.scenarios.runner import run_scenario
 
-        spec = small_scenario_spec()
-        result = run_scenario(spec, fidelity="fast_forward")
-        assert result.fidelity == "fast_forward"
+        spec = replace(
+            small_scenario_spec(), fidelity=FidelitySpec(fidelity="fast_forward")
+        )
+        assert run_scenario(spec).fidelity == "fast_forward"
 
     def test_run_rejects_grid_specs(self):
         grid = replace(
@@ -252,100 +324,70 @@ class TestRunScenario:
             run(spec)
 
 
-class TestDeprecationShims:
-    def test_runtime_direct_fidelity_warns_and_matches_from_spec(self):
-        from repro.sim.trace import Trace
+class TestRemovedForms:
+    """Call forms the API no longer takes fail with typed errors that
+    name their replacement, never with an ``AttributeError``."""
+
+    @pytest.mark.parametrize("legacy", ["scenario_spec", "dict"])
+    def test_run_scenario_takes_only_a_run_spec(self, legacy):
+        from repro.scenarios.generator import generate_scenario
+        from repro.scenarios.runner import run_scenario
+
+        spec = generate_scenario(0).spec
+        value = spec if legacy == "scenario_spec" else {"kind": "scenario"}
+        with pytest.raises(SpecError, match=r"ScenarioSpec\.to_run_spec\(\)"):
+            run_scenario(value)
+        with pytest.raises(TypeError):
+            run_scenario(spec.to_run_spec(), fidelity="fast_forward")
+
+    def test_from_spec_arms_fast_forward_by_the_eligibility_rule(self):
+        """Fast-forward arms under fidelity fast_forward with zero jitter
+        on the dedicated network — and only there."""
         from repro.wsp.runtime import HetPipeRuntime
 
         spec = small_scenario_spec()
         scenario = build_scenario(spec)
-        ff = replace(spec, fidelity=FidelitySpec(fidelity="fast_forward"))
+        ff = FidelitySpec(fidelity="fast_forward")
 
-        def drive(runtime):
-            runtime.start()
-            total = spec.pipeline.warmup_waves + spec.pipeline.measured_waves
-            runtime.run_until_global_version(total - 1)
-            return runtime
-
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            legacy_trace = Trace(enabled=False, digest=True, schema=2)
-            legacy = drive(
-                HetPipeRuntime(
-                    scenario.cluster, scenario.model, list(scenario.plans),
-                    d=spec.pipeline.d, trace=legacy_trace,
-                    fidelity="fast_forward",
-                )
-            )
-        spec_trace = Trace(enabled=False, digest=True, schema=2)
-        built = drive(
-            HetPipeRuntime.from_spec(
-                ff,
+        def armed(run: RunSpec) -> bool:
+            runtime = HetPipeRuntime.from_spec(
+                run,
                 cluster=scenario.cluster,
                 model=scenario.model,
                 plans=list(scenario.plans),
-                trace=spec_trace,
             )
+            return runtime._ff is not None
+
+        assert armed(replace(spec, fidelity=ff))
+        assert not armed(spec)
+        assert not armed(
+            replace(spec, fidelity=ff, pipeline=replace(spec.pipeline, jitter=0.1))
         )
-        assert legacy_trace.digest() == spec_trace.digest()
-        assert legacy.sim.now == built.sim.now
-        assert legacy.total_minibatches_done() == built.total_minibatches_done()
+        assert not armed(replace(spec, fidelity=ff, network=NetworkSpec(model="shared")))
+        with pytest.raises(TypeError):
+            HetPipeRuntime(
+                scenario.cluster, scenario.model, list(scenario.plans),
+                fidelity="fast_forward",
+            )
 
-    def test_from_spec_does_not_warn(self, recwarn):
-        from repro.wsp.runtime import HetPipeRuntime
-
-        spec = small_scenario_spec()
-        scenario = build_scenario(spec)
-        HetPipeRuntime.from_spec(
-            replace(spec, fidelity=FidelitySpec(fidelity="fast_forward")),
-            cluster=scenario.cluster,
-            model=scenario.model,
-            plans=list(scenario.plans),
-        )
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_measure_pipeline_string_fidelity_warns_and_matches(self, cluster):
+    @pytest.mark.parametrize("surface", ["measure_pipeline", "measure_1f1b_pipeline"])
+    def test_measure_surfaces_reject_string_fidelity(self, surface, cluster):
+        import repro.pipeline
         from repro.models import build_vgg19
         from repro.partition import plan_virtual_worker
-        from repro.pipeline import measure_pipeline
 
+        measure = getattr(repro.pipeline, surface)
         plan = plan_virtual_worker(
             build_vgg19(), cluster.gpus[0:4], 2, cluster.interconnect,
             search_orderings=False,
         )
-        with pytest.warns(DeprecationWarning, match="FidelitySpec"):
-            shimmed = measure_pipeline(
+        with pytest.raises(SpecError, match=f"{surface}.*FidelitySpec"):
+            measure(
                 plan, cluster.interconnect, 32,
                 measured_minibatches=40, fidelity="fast_forward",
             )
-        spec_built = measure_pipeline(
-            plan, cluster.interconnect, 32,
-            measured_minibatches=40,
-            fidelity=FidelitySpec(fidelity="fast_forward"),
-        )
-        assert shimmed == spec_built
 
-    def test_measure_1f1b_string_fidelity_warns_and_matches(self, cluster):
-        from repro.models import build_vgg19
-        from repro.partition import plan_virtual_worker
-        from repro.pipeline import measure_1f1b_pipeline
-
-        plan = plan_virtual_worker(
-            build_vgg19(), cluster.gpus[0:4], 2, cluster.interconnect,
-            search_orderings=False,
-        )
-        with pytest.warns(DeprecationWarning, match="FidelitySpec"):
-            shimmed = measure_1f1b_pipeline(
-                plan, cluster.interconnect, 32,
-                measured_minibatches=40, fidelity="fast_forward",
-            )
-        spec_built = measure_1f1b_pipeline(
-            plan, cluster.interconnect, 32,
-            measured_minibatches=40,
-            fidelity=FidelitySpec(fidelity="fast_forward"),
-        )
-        assert shimmed == spec_built
-
-    def test_default_fidelity_string_stays_silent(self, cluster, recwarn):
+    def test_default_fidelity_is_full(self, cluster):
         from repro.models import build_vgg19
         from repro.partition import plan_virtual_worker
         from repro.pipeline import measure_pipeline
@@ -354,8 +396,12 @@ class TestDeprecationShims:
             build_vgg19(), cluster.gpus[0:4], 1, cluster.interconnect,
             search_orderings=False,
         )
-        measure_pipeline(plan, cluster.interconnect, 32, measured_minibatches=20)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
+        assert measure_pipeline(
+            plan, cluster.interconnect, 32, measured_minibatches=20
+        ) == measure_pipeline(
+            plan, cluster.interconnect, 32, measured_minibatches=20,
+            fidelity=FidelitySpec(),
+        )
 
 
 class TestMeasureRun:

@@ -51,7 +51,7 @@ class TestScenarioEquivalence:
     @given(seed=st.integers(min_value=0, max_value=150))
     def test_generated_scenarios_hold_the_contract(self, seed):
         spec = generate_scenario(seed).spec
-        result = run_scenario(spec, fidelity="fast_forward")
+        result = run_scenario(spec.to_run_spec(fidelity="fast_forward"))
         # The twin comparison runs exactly when the main run coalesced;
         # a run that never skipped IS the full trajectory already.
         if result.equivalence_checked:
@@ -62,7 +62,7 @@ class TestScenarioEquivalence:
         # Seed 4 draws zero jitter (deterministic), so its steady state
         # must actually coalesce, not just trivially agree.
         spec = generate_scenario(4).spec
-        result = run_scenario(spec, fidelity="fast_forward")
+        result = run_scenario(spec.to_run_spec(fidelity="fast_forward"))
         assert result.violations == ()
         assert result.events_fast_forwarded > 0
 
@@ -72,9 +72,13 @@ class TestScenarioEquivalence:
         spec = generate_scenario(4).spec
         short = replace(spec, measured_waves=spec.measured_waves * 2)
         long = replace(spec, measured_waves=spec.measured_waves * 16)
-        short_ff = run_scenario(short, fidelity="fast_forward", verify_equivalence=False)
-        long_full = run_scenario(long, verify_equivalence=False)
-        long_ff = run_scenario(long, fidelity="fast_forward", verify_equivalence=False)
+        short_ff = run_scenario(
+            short.to_run_spec(fidelity="fast_forward", verify_equivalence=False)
+        )
+        long_full = run_scenario(long.to_run_spec(verify_equivalence=False))
+        long_ff = run_scenario(
+            long.to_run_spec(fidelity="fast_forward", verify_equivalence=False)
+        )
         assert long_ff.violations == () and long_full.violations == ()
         # 8x more waves must cost (far) less than 8x more dispatched
         # events: the added horizon is almost entirely coalesced.
@@ -91,7 +95,7 @@ class TestScenarioEquivalence:
 
     def test_full_fidelity_never_fast_forwards(self):
         spec = generate_scenario(4).spec
-        result = run_scenario(spec)
+        result = run_scenario(spec.to_run_spec())
         assert result.fidelity == "full"
         assert result.events_fast_forwarded == 0
         assert not result.equivalence_checked
@@ -102,7 +106,7 @@ class TestScenarioEquivalence:
             for s in range(100)
             if generate_scenario(s).spec.jitter > 0
         )
-        result = run_scenario(jittered, fidelity="fast_forward")
+        result = run_scenario(jittered.to_run_spec(fidelity="fast_forward"))
         assert result.violations == ()
         # aperiodic by construction: the WSP runtime never skips, so the
         # twin comparison is vacuous and must be elided — the run IS the

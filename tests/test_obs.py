@@ -130,9 +130,9 @@ class TestDigestSafety:
         assert replace(observed, observability=None) == plain
 
     def test_capture_diagnostics_keeps_scenario_digest(self):
-        spec = generate_scenario(0).spec
-        assert run_scenario(spec).digest == run_scenario(
-            spec, capture_diagnostics=True
+        run = generate_scenario(0).spec.to_run_spec()
+        assert run_scenario(run).digest == run_scenario(
+            run, capture_diagnostics=True
         ).digest
 
 

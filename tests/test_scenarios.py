@@ -70,14 +70,14 @@ class TestGeneratorDeterminism:
 
 class TestRunScenario:
     def test_replay_is_bit_identical(self):
-        spec = generate_scenario(5).spec
-        first, second = run_scenario(spec), run_scenario(spec)
+        run = generate_scenario(5).spec.to_run_spec()
+        first, second = run_scenario(run), run_scenario(run)
         assert first.digest == second.digest
         assert first.per_vw_completions == second.per_vw_completions
         assert first.window == second.window
 
     def test_clean_seed_has_no_violations(self):
-        result = run_scenario(generate_scenario(1).spec)
+        result = run_scenario(generate_scenario(1).spec.to_run_spec())
         assert result.ok, result.violations
         assert result.throughput > 0
         assert sum(result.per_vw_completions) > 0
@@ -87,12 +87,13 @@ class TestRunScenario:
         for seed in range(40):
             spec = generate_scenario(seed).spec
             if spec.jitter > 0:
-                assert run_scenario(spec).digest == run_scenario(spec).digest
+                run = spec.to_run_spec()
+                assert run_scenario(run).digest == run_scenario(run).digest
                 return
         pytest.fail("no jittered scenario in the first 40 seeds")
 
     def test_describe_mentions_seed_and_digest(self):
-        result = run_scenario(generate_scenario(2).spec)
+        result = run_scenario(generate_scenario(2).spec.to_run_spec())
         assert f"seed={result.spec.seed}" in result.describe()
         assert result.digest[:12] in result.describe()
 
@@ -100,7 +101,7 @@ class TestRunScenario:
 class TestSharedNetworkScenarios:
     def test_shared_run_is_clean_and_records_makespans(self):
         spec = dataclasses.replace(generate_scenario(1).spec, network_model="shared")
-        result = run_scenario(spec)
+        result = run_scenario(spec.to_run_spec())
         assert result.ok, result.violations
         assert result.makespan >= result.dedicated_makespan > 0
         assert "net=shared" in result.spec.describe()
@@ -112,7 +113,8 @@ class TestSharedNetworkScenarios:
 
     def test_shared_replay_is_bit_identical(self):
         spec = dataclasses.replace(generate_scenario(6).spec, network_model="shared")
-        assert run_scenario(spec).digest == run_scenario(spec).digest
+        run = spec.to_run_spec()
+        assert run_scenario(run).digest == run_scenario(run).digest
 
     def test_shared_batch_smoke(self):
         report = run_fuzz(range(5), network_model="shared")
@@ -145,7 +147,7 @@ class TestFuzzBatch:
         assert all("generation" in r.violations[0] for r in report.results)
 
     def test_failing_summary_lists_violations(self):
-        bad = run_scenario(generate_scenario(0).spec)
+        bad = run_scenario(generate_scenario(0).spec.to_run_spec())
         forged = dataclasses.replace(bad, violations=("differential: forged",))
         report = FuzzReport(results=[forged])
         assert "1 failing" in report.summary()
@@ -206,7 +208,7 @@ class TestRunnerTraceMemory:
 
         monkeypatch.setattr(runner_module, "Trace", RecordingTrace)
         scenario = generate_scenario(0)
-        result = run_scenario(scenario.spec)
+        result = run_scenario(scenario.spec.to_run_spec())
         assert result.ok
         assert created, "runner built no traces?"
         for trace in created:

@@ -184,10 +184,7 @@ class TestVariantFuzz:
 
 class TestSpecs:
     def _scenario_run(self, **pipeline_overrides):
-        spec = generate_scenario(0).spec
-        from repro.api.build import scenario_spec_to_run
-
-        run = scenario_spec_to_run(spec)
+        run = generate_scenario(0).spec.to_run_spec()
         if pipeline_overrides:
             from dataclasses import replace
 
