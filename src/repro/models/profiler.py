@@ -42,7 +42,7 @@ class ModelProfile:
     """Per-layer costs for one (model, GPU spec) pair with prefix sums.
 
     ``fwd_prefix[i]`` is the sum of forward times of units ``[0, i)``, so
-    the partitioner evaluates any contiguous stage in O(1).
+    the partitioner reads any contiguous stage's compute time in O(1).
     """
 
     model_name: str
@@ -66,11 +66,17 @@ class ModelProfile:
 
 
 class Profiler:
-    """Computes and caches :class:`ModelProfile` objects."""
+    """Computes and caches :class:`ModelProfile` objects.
+
+    The cache is keyed on ``(id(model), gpu code)``: hashing a model by
+    value walks every layer.  Each entry holds its model, and a hit must
+    be that very object, so an id reused after a model is collected can
+    never serve another model's profile.
+    """
 
     def __init__(self, calibration: Calibration = DEFAULT_CALIBRATION) -> None:
         self.calibration = calibration
-        self._cache: dict[tuple[int, str], ModelProfile] = {}
+        self._cache: dict[tuple[int, str], tuple[ModelGraph, ModelProfile]] = {}
 
     def layer_cost(self, layer: LayerSpec, gpu: GPUSpec) -> LayerCost:
         """Roofline fwd/bwd time of one unit on one GPU type.
@@ -113,8 +119,8 @@ class Profiler:
         """Per-layer cost table for ``model`` on GPU type ``gpu``."""
         key = (id(model), gpu.code)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] is model:
+            return cached[1]
         costs = tuple(self.layer_cost(layer, gpu) for layer in model.layers)
         fwd_prefix = [0.0]
         bwd_prefix = [0.0]
@@ -128,7 +134,7 @@ class Profiler:
             fwd_prefix=tuple(fwd_prefix),
             bwd_prefix=tuple(bwd_prefix),
         )
-        self._cache[key] = table
+        self._cache[key] = (model, table)
         return table
 
     def serial_minibatch_time(self, model: ModelGraph, gpu: GPUSpec) -> float:

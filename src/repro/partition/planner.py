@@ -20,7 +20,11 @@ from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.models.graph import ModelGraph
 from repro.models.memory import DEFAULT_WEIGHT_POLICY
 from repro.models.profiler import Profiler
-from repro.partition.dp_solver import StageEvaluator, solve_boundaries
+from repro.partition.dp_solver import (
+    StageEvaluator,
+    clear_stage_tables,
+    solve_boundaries,
+)
 from repro.partition.ordering import candidate_orderings, ordering_signature
 from repro.partition.spec import PartitionPlan, Stage
 
@@ -83,10 +87,12 @@ def plan_cache_stats() -> tuple[int, int, int]:
 
 
 def clear_plan_cache() -> None:
-    """Drop all memoized boundaries (tests and benchmarks use this to
-    compare cached against fresh solves)."""
+    """Drop all memoized boundaries and the solver's per-model tables
+    (tests and benchmarks use this to compare cached against fresh
+    solves and to start cold)."""
     global _plan_cache_hits, _plan_cache_misses
     _boundary_cache.clear()
+    clear_stage_tables()
     _plan_cache_hits = 0
     _plan_cache_misses = 0
 

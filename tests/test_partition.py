@@ -11,6 +11,7 @@ from repro.models import build_vgg19
 from repro.models.calibration import DEFAULT_CALIBRATION
 from repro.models.graph import ModelGraph
 from repro.models.layers import LayerSpec
+from repro.models.memory import gpu_usable_bytes, in_flight_at_stage, stage_memory_bytes
 from repro.partition import (
     candidate_orderings,
     max_feasible_nm,
@@ -20,6 +21,7 @@ from repro.partition import (
 )
 from repro.partition.dp_solver import StageEvaluator
 from repro.partition.spec import PartitionPlan, Stage
+from repro.pipeline.variants.defs import WEIGHT_POLICIES
 
 
 def _chain_model(flops, params=None, name="chain"):
@@ -95,6 +97,135 @@ class TestDPOptimality:
         evaluator = StageEvaluator(model, four_v, 1, cluster.interconnect)
         assert solve_boundaries(evaluator) is None
         assert solve_bnb(evaluator)[0] is None
+
+
+def _reference_dp(evaluator):
+    """The DP over (max period, total period) tuples, scoring every
+    candidate stage with the public ``StageEvaluator.evaluate``."""
+    k, length = evaluator.k, evaluator.num_layers
+    if length < k:
+        return None
+    inf = float("inf")
+    dp = [[(inf, inf)] * (length + 1) for _ in range(k)]
+    choice = [[-1] * (length + 1) for _ in range(k)]
+    for j in range(1, length - k + 2):
+        ev = evaluator.evaluate(0, j, 0)
+        if ev.feasible:
+            dp[0][j] = (ev.period, ev.period)
+            choice[0][j] = 0
+    for s in range(1, k):
+        for j in range(s + 1, length - (k - 1 - s) + 1):
+            for i in range(s, j):
+                prev = dp[s - 1][i]
+                if prev[0] == inf:
+                    continue
+                ev = evaluator.evaluate(i, j, s)
+                if not ev.feasible:
+                    continue
+                cand = (max(prev[0], ev.period), prev[1] + ev.period)
+                if cand < dp[s][j]:
+                    dp[s][j] = cand
+                    choice[s][j] = i
+    if dp[k - 1][length][0] == inf:
+        return None
+    boundaries = [length]
+    for s in range(k - 1, -1, -1):
+        boundaries.append(choice[s][boundaries[-1]])
+    return boundaries[::-1]
+
+
+_byte_counts = st.floats(min_value=0.0, max_value=2e9, allow_nan=False)
+_RECOMPUTE = DEFAULT_CALIBRATION.with_overrides(activation_recompute=True)
+
+
+@st.composite
+def _random_chains(draw):
+    """Chains whose random byte counts make memory feasibility bite."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    layers = tuple(
+        LayerSpec(
+            name=f"l{i}",
+            kind=draw(st.sampled_from(["conv", "fc", "pool"])),
+            flops_fwd=draw(st.floats(min_value=0.0, max_value=5e10)),
+            flops_bwd=draw(st.floats(min_value=0.0, max_value=1e11)),
+            param_bytes=draw(_byte_counts),
+            output_bytes=draw(st.floats(min_value=0.0, max_value=5e8)),
+            stash_bytes=draw(_byte_counts),
+            workspace_bytes=draw(_byte_counts),
+        )
+        for i in range(size)
+    )
+    return ModelGraph(name="random", batch_size=32, input_bytes=1e6, layers=layers)
+
+
+class TestTableDrivenDP:
+    """The table-driven DP against a reference scored by ``evaluate``,
+    and every table entry against the memory and link models, compared
+    bit for bit (``==``, never ``approx``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=_random_chains(),
+        order=st.permutations(range(16)),
+        k=st.integers(min_value=1, max_value=6),
+        nm=st.integers(min_value=1, max_value=8),
+        weight_policy=st.sampled_from(WEIGHT_POLICIES),
+        calibration=st.sampled_from([DEFAULT_CALIBRATION, _RECOMPUTE]),
+    )
+    def test_property_dp_equals_reference_exactly(
+        self, model, order, k, nm, weight_policy, calibration
+    ):
+        cluster = paper_cluster()
+        gpus = [cluster.gpus[i] for i in order[:k]]
+        evaluator = StageEvaluator(
+            model, gpus, nm, cluster.interconnect, calibration,
+            weight_policy=weight_policy,
+        )
+        assert solve_boundaries(evaluator) == _reference_dp(evaluator)
+
+        for s, gpu in enumerate(gpus):
+            in_flight = in_flight_at_stage(nm, s)
+            usable = gpu_usable_bytes(gpu.spec, calibration)
+            fwd_prefix = evaluator._profiles[s].fwd_prefix
+            bwd_prefix = evaluator._profiles[s].bwd_prefix
+            for stop in range(1, len(model) + 1):
+                for start in range(stop):
+                    ev = evaluator.evaluate(start, stop, s)
+                    memory = stage_memory_bytes(
+                        model.layers[start:stop], in_flight, calibration, weight_policy
+                    )
+                    fwd_comm = bwd_comm = 0.0
+                    if s > 0:
+                        fwd_comm = cluster.interconnect.transfer_time(
+                            model.boundary_bytes(start - 1), gpus[s - 1], gpu
+                        )
+                    if s < k - 1:
+                        bwd_comm = cluster.interconnect.transfer_time(
+                            model.boundary_bytes(stop - 1), gpus[s + 1], gpu
+                        )
+                    # the expression solve_boundaries reads from the tables
+                    period = (
+                        fwd_prefix[stop] - fwd_prefix[start]
+                        + (bwd_prefix[stop] - bwd_prefix[start])
+                        + evaluator._fwd_comm[s][start]
+                        + evaluator._bwd_comm[s][stop]
+                    )
+                    assert evaluator._memory[s][stop][start] == memory
+                    assert ev.memory_bytes == memory
+                    assert ev.feasible == (memory <= usable)
+                    assert (ev.fwd_comm_in, ev.bwd_comm_in) == (fwd_comm, bwd_comm)
+                    assert ev.period == period
+
+    @pytest.mark.parametrize("model_name", ["vgg19", "resnet152"])
+    @pytest.mark.parametrize("weight_policy", WEIGHT_POLICIES)
+    def test_paper_models_match_reference(self, request, model_name, weight_policy, cluster):
+        model = request.getfixturevalue(model_name)
+        gpus = [cluster.gpus[i] for i in (12, 1, 8, 5, 0, 13)]
+        for nm in (1, 4, 8):
+            evaluator = StageEvaluator(
+                model, gpus, nm, cluster.interconnect, weight_policy=weight_policy
+            )
+            assert solve_boundaries(evaluator) == _reference_dp(evaluator)
 
 
 class TestPlanner:

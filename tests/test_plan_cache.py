@@ -13,6 +13,7 @@ from repro.partition import (
     plan_virtual_worker,
     solve_bnb,
 )
+from repro.partition import dp_solver
 from repro.partition.dp_solver import StageEvaluator, solve_boundaries
 from repro.scenarios import generate_scenario
 
@@ -97,3 +98,60 @@ def test_equal_ed_workers_share_boundaries_but_keep_their_gpus():
             ]
     gpu_ids = [tuple(s.gpu.gpu_id for s in plan.stages) for plan in plans]
     assert len(set(gpu_ids)) == len(gpu_ids), "plans must keep distinct devices"
+
+
+def test_solves_after_clear_match_cached_plans(vgg19, resnet152):
+    """clear_plan_cache drops the boundaries and the solver's per-model
+    tables; planning from cold then reproduces the warm plans exactly."""
+    cluster = paper_cluster()
+    gpus = [cluster.gpus[i] for i in (0, 5, 10, 15)]
+    cases = [(model, nm) for model in (vgg19, resnet152) for nm in (1, 3)]
+
+    def plan_all():
+        return [
+            plan_virtual_worker(model, gpus, nm, cluster.interconnect)
+            for model, nm in cases
+        ]
+
+    clear_plan_cache()
+    cold = plan_all()
+    warm = plan_all()
+    hits, misses, _ = plan_cache_stats()
+    assert hits == misses > 0, "the warm pass must hit every solve the cold pass made"
+    assert warm == cold
+
+    clear_plan_cache()
+    assert plan_cache_stats() == (0, 0, 0)
+    assert not dp_solver._table_cache
+    assert plan_all() == cold
+
+
+def test_stage_table_cache_is_bounded():
+    """A fresh model per scenario (as fuzz builds them) must not grow
+    the per-model table cache past its bound."""
+    cluster = paper_cluster()
+    gpus = cluster.gpus[0:2]
+    clear_plan_cache()
+    for n in range(dp_solver._TABLE_CACHE_MAX * 3):
+        model = _chain_model([1.0 + n, 2.0, 3.0, 4.0])
+        evaluator = StageEvaluator(model, gpus, 2, cluster.interconnect)
+        assert solve_boundaries(evaluator) is not None
+        assert len(dp_solver._table_cache) <= dp_solver._TABLE_CACHE_MAX
+        assert dp_solver._table_cache[id(model)].model is model
+    assert len(dp_solver._table_cache) == dp_solver._TABLE_CACHE_MAX
+
+
+def test_stage_tables_never_served_for_another_model():
+    """The table cache is keyed on id(model); an entry under a model's
+    id that belongs to another model (a reused id) must be rebuilt."""
+    cluster = paper_cluster()
+    gpus = cluster.gpus[0:2]
+    big = _chain_model([1.0, 2.0, 3.0, 4.0, 5.0], name="big")
+    small = _chain_model([1.0, 2.0, 3.0], name="small")
+    clear_plan_cache()
+    StageEvaluator(big, gpus, 2, cluster.interconnect)
+    dp_solver._table_cache[id(small)] = dp_solver._table_cache.pop(id(big))
+    planted = solve_boundaries(StageEvaluator(small, gpus, 2, cluster.interconnect))
+    assert dp_solver._table_cache[id(small)].model is small
+    clear_plan_cache()
+    assert planted == solve_boundaries(StageEvaluator(small, gpus, 2, cluster.interconnect))

@@ -42,6 +42,20 @@ class TestProfiler:
     def test_profile_is_cached(self, vgg19, profiler):
         assert profiler.profile(vgg19, TITAN_V) is profiler.profile(vgg19, TITAN_V)
 
+    def test_profile_never_served_for_another_model(self):
+        """The cache is keyed on id(model), and a collected model's id
+        can be reused by the next one built: a hit must be the very
+        model the profile was computed for."""
+        profiler = Profiler(DEFAULT_CALIBRATION)
+        vgg19, resnet152 = build_vgg19(), build_resnet152()
+        profiler.profile(resnet152, TITAN_V)
+        # plant the resnet152 entry under vgg19's id, as a reused id would
+        (entry,) = profiler._cache.values()
+        profiler._cache = {(id(vgg19), TITAN_V.code): entry}
+        profile = profiler.profile(vgg19, TITAN_V)
+        assert profile.model_name == "vgg19"
+        assert profile == Profiler(DEFAULT_CALIBRATION).profile(vgg19, TITAN_V)
+
     def test_composite_cost_is_sum_of_parts(self, resnet152, profiler):
         block = next(l for l in resnet152.layers if l.kind == "block")
         whole = profiler.layer_cost(block, TITAN_V)
