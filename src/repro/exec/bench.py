@@ -87,15 +87,17 @@ def bench_engine(events: int = ENGINE_EVENTS) -> dict[str, float]:
 
 
 def bench_trace(records: int = TRACE_RECORDS) -> dict[str, float]:
-    """Streaming-digest emit throughput (storage off, hash on)."""
+    """Streaming-digest emit throughput (storage off, hash on), through
+    a prebuilt site as the pipelines emit."""
     from repro.sim.trace import Trace
 
     trace = Trace(enabled=False, digest=True)
+    site = trace.site("f_start", "vw0.s1", "minibatch")
 
     def spin() -> None:
         emit = trace.emit
         for i in range(records):
-            emit(float(i), "f_start", "vw0.s1", minibatch=i)
+            emit(float(i), site, i)
         trace.digest()
 
     seconds, _ = _timed(spin)

@@ -80,7 +80,7 @@ class FaultState:
             self.sends_blocked += 1
         self.retries_attempted += 1
         delay = self.retry_timeout * (2 ** attempt)
-        self.trace.emit(self.sim.now, "ps_retry", "faults", target=desc, attempt=attempt)
+        self.trace.record(self.sim.now, "ps_retry", "faults", target=desc, attempt=attempt)
         self.sim.schedule(delay, resend)
 
     def send_resolved(self) -> None:
@@ -93,7 +93,7 @@ class FaultState:
         last = self.checkpoints[-1][0] if self.checkpoints else -self.checkpoint_every
         if version >= last + self.checkpoint_every:
             self.checkpoints.append((version, now))
-            self.trace.emit(now, "checkpoint", "faults", version=version)
+            self.trace.record(now, "checkpoint", "faults", version=version)
 
 
 class FaultInjector:
@@ -163,7 +163,7 @@ class FaultInjector:
     def _fire(self, event: FaultEvent) -> None:
         self._pending -= 1
         self.fired.append(event)
-        self.runtime.trace.emit(
+        self.runtime.trace.record(
             self.runtime.sim.now, "fault", "faults",
             kind=event.kind, detail=event.describe(),
         )
@@ -183,7 +183,7 @@ class FaultInjector:
     def _recovered(self, event: FaultEvent) -> None:
         self._pending -= 1
         self.recovered.append(event)
-        self.runtime.trace.emit(
+        self.runtime.trace.record(
             self.runtime.sim.now, "fault_recovered", "faults",
             kind=event.kind, detail=event.describe(),
         )
@@ -227,7 +227,7 @@ class FaultInjector:
             self.state.down_nodes.add(event.node)
             self.runtime.crash_node(event.node)
             self.runtime.handle_node_loss(event.node)
-            self.runtime.trace.emit(
+            self.runtime.trace.record(
                 self.runtime.sim.now, "repartition", "faults", node=event.node,
             )
             # Replacement pipelines carry the still-active scales.
@@ -322,7 +322,7 @@ class FaultInjector:
             runtime.ps.migrate_node(host, alive[0])
         runtime.rebuild_placements(alive)
         runtime._structural_change = True
-        runtime.trace.emit(
+        runtime.trace.record(
             runtime.sim.now, "repartition", "faults",
             ps_hosts=tuple(sorted(hosts)),
         )

@@ -25,7 +25,7 @@ from repro.cluster.topology import InterconnectSpec
 from repro.errors import SimulationError
 from repro.netsim.fabric import Fabric, FabricEdge
 from repro.partition.spec import PartitionPlan
-from repro.pipeline.virtual_worker import build_stage_edge
+from repro.pipeline.virtual_worker import build_stage_edge, stage_sites
 from repro.sim.engine import Simulator
 from repro.sim.resources import Channel, Processor
 from repro.sim.trace import Trace
@@ -90,8 +90,20 @@ class OneFOneBPipeline:
                     to_prev=to_prev,
                 )
             )
-        #: per-stage trace actor names, formatted once (emit is hot)
-        self._actor = tuple(f"{name}.s{s}" for s in range(plan.k))
+        # Trace sites, built once.  The stages before the last run
+        # separate forward and backward tasks; the last runs fused ones.
+        inner, last = plan.k - 1, f"{name}.s{plan.k - 1}"
+        self._f_ready = stage_sites(self.trace, "f_ready", name, plan.k)
+        self._b_ready = stage_sites(self.trace, "b_ready", name, inner)
+        self._f_start = stage_sites(self.trace, "f_start", name, inner)
+        self._b_start = stage_sites(self.trace, "b_start", name, inner)
+        self._f_done = stage_sites(self.trace, "f_done", name, inner)
+        self._fb_start = self.trace.site("fb_start", last, "minibatch")
+        # _bwd_done serves every stage, the last one with its fused task
+        self._bwd_done_sites = stage_sites(self.trace, "b_done", name, inner) + [
+            self.trace.site("fb_done", last, "minibatch")
+        ]
+        self._done_site = self.trace.site("minibatch_done", name, "minibatch")
         self.next_minibatch = 1
         self.active = 0
         self.completed = 0
@@ -120,12 +132,12 @@ class OneFOneBPipeline:
 
     def _enqueue_fwd(self, s: int, p: int) -> None:
         self.stages[s].fwd_queue.append(p)
-        self.trace.emit(self.sim.now, "f_ready", self._actor[s], minibatch=p + self.mb_offset)
+        self.trace.emit(self.sim.now, self._f_ready[s], p + self.mb_offset)
         self._dispatch(s)
 
     def _enqueue_bwd(self, s: int, p: int) -> None:
         self.stages[s].bwd_queue.append(p)
-        self.trace.emit(self.sim.now, "b_ready", self._actor[s], minibatch=p + self.mb_offset)
+        self.trace.emit(self.sim.now, self._b_ready[s], p + self.mb_offset)
         self._dispatch(s)
 
     def _dispatch(self, s: int) -> None:
@@ -142,7 +154,7 @@ class OneFOneBPipeline:
                 stage.bwd_compute,
                 (lambda s=s, p=p: self._bwd_done(s, p)),
                 tag=("B", p),
-                on_start=(lambda s=s, p=p: self.trace.emit(self.sim.now, "b_start", self._actor[s], minibatch=p + self.mb_offset)),
+                on_start=(lambda site=self._b_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
             )
         elif state.fwd_queue and state.fwd_queue[0] == state.next_fwd:
             p = state.fwd_queue.pop(0)
@@ -152,18 +164,18 @@ class OneFOneBPipeline:
                     stage.fwd_compute + stage.bwd_compute,
                     (lambda s=s, p=p: self._bwd_done(s, p)),
                     tag=("FB", p),
-                    on_start=(lambda s=s, p=p: self.trace.emit(self.sim.now, "fb_start", self._actor[s], minibatch=p + self.mb_offset)),
+                    on_start=(lambda p=p: self.trace.emit(self.sim.now, self._fb_start, p + self.mb_offset)),
                 )
             else:
                 state.processor.submit(
                     stage.fwd_compute,
                     (lambda s=s, p=p: self._fwd_done(s, p)),
                     tag=("F", p),
-                    on_start=(lambda s=s, p=p: self.trace.emit(self.sim.now, "f_start", self._actor[s], minibatch=p + self.mb_offset)),
+                    on_start=(lambda site=self._f_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
                 )
 
     def _fwd_done(self, s: int, p: int) -> None:
-        self.trace.emit(self.sim.now, "f_done", self._actor[s], minibatch=p + self.mb_offset)
+        self.trace.emit(self.sim.now, self._f_done[s], p + self.mb_offset)
         state = self.stages[s]
         nbytes = self.plan.stages[s + 1].activation_in_bytes
         assert state.to_next is not None
@@ -171,11 +183,7 @@ class OneFOneBPipeline:
         self._dispatch(s)
 
     def _bwd_done(self, s: int, p: int) -> None:
-        last = s == self.plan.k - 1
-        self.trace.emit(
-            self.sim.now, "fb_done" if last else "b_done", self._actor[s],
-            minibatch=p + self.mb_offset,
-        )
+        self.trace.emit(self.sim.now, self._bwd_done_sites[s], p + self.mb_offset)
         state = self.stages[s]
         if s > 0:
             nbytes = self.plan.stages[s].activation_in_bytes
@@ -186,7 +194,7 @@ class OneFOneBPipeline:
             self.completed += 1
             self.active -= 1
             self.done_times[pub] = self.sim.now
-            self.trace.emit(self.sim.now, "minibatch_done", self.name, minibatch=pub)
+            self.trace.emit(self.sim.now, self._done_site, pub)
             self._admit()
         self._dispatch(s)
 

@@ -30,7 +30,7 @@ from repro.partition.spec import PartitionPlan
 from repro.pipeline.tasks import AdmissionGate, OpenGate
 from repro.sim.engine import Simulator
 from repro.sim.resources import Channel, Processor
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, TraceSite
 
 
 def build_stage_edge(
@@ -51,6 +51,12 @@ def build_stage_edge(
         return fabric.edge(Endpoint.gpu(src), Endpoint.gpu(dst), name)
     bandwidth, latency = interconnect.link_between(src, dst)
     return Channel(sim, bandwidth, latency, name)
+
+
+def stage_sites(trace: Trace, category: str, name: str, k: int) -> list[TraceSite]:
+    """Pipeline ``name``'s ``category`` trace sites of its stages
+    ``0 .. k-1`` (actor ``{name}.s{s}``, detail key ``minibatch``)."""
+    return [trace.site(category, f"{name}.s{s}", "minibatch") for s in range(k)]
 
 
 @dataclass
@@ -131,8 +137,20 @@ class VirtualWorkerPipeline:
                 )
             )
 
-        #: per-stage trace actor names, formatted once (emit is hot)
-        self._actor = tuple(f"{name}.s{s}" for s in range(plan.k))
+        # Trace sites, built once.  The stages before the last run
+        # separate forward and backward tasks; the last runs fused ones.
+        inner, last = plan.k - 1, f"{name}.s{plan.k - 1}"
+        self._inject_site = self.trace.site("inject", name, "minibatch")
+        self._done_site = self.trace.site("minibatch_done", name, "minibatch")
+        self._f_enqueue = stage_sites(self.trace, "f_enqueue", name, inner)
+        self._f_start = stage_sites(self.trace, "f_start", name, inner)
+        self._f_done = stage_sites(self.trace, "f_done", name, inner)
+        self._b_enqueue = stage_sites(self.trace, "b_enqueue", name, inner)
+        self._b_start = stage_sites(self.trace, "b_start", name, inner)
+        self._b_done = stage_sites(self.trace, "b_done", name, inner)
+        self._fb_enqueue = self.trace.site("fb_enqueue", last, "minibatch")
+        self._fb_start = self.trace.site("fb_start", last, "minibatch")
+        self._fb_done = self.trace.site("fb_done", last, "minibatch")
         # Admission / completion bookkeeping (minibatch ids are 1-based).
         self.next_minibatch = 1
         self.active = 0  # admitted but not completed
@@ -250,7 +268,7 @@ class VirtualWorkerPipeline:
         alive = len(set(self.version_stamps.values()))
         if alive > self.versions_peak:
             self.versions_peak = alive
-        self.trace.emit(self.sim.now, "inject", self.name, minibatch=pub)
+        self.trace.emit(self.sim.now, self._inject_site, pub)
         if self.on_inject is not None:
             self.on_inject(pub, self.sim.now)
         self._forward_arrived(0, p)
@@ -298,24 +316,24 @@ class VirtualWorkerPipeline:
         if last:
             # Condition 4: last partition runs fwd+bwd as one task.
             duration = self._task_time(s, stage.fwd_compute + stage.bwd_compute)
-            self.trace.emit(self.sim.now, "fb_enqueue", self._actor[s], minibatch=p + self.mb_offset)
+            self.trace.emit(self.sim.now, self._fb_enqueue, p + self.mb_offset)
             state.processor.submit(
                 duration,
                 lambda: self._forward_backward_done(s, p),
                 tag=("FB", p),
-                on_start=(lambda s=s, p=p: self.trace.emit(self.sim.now, "fb_start", self._actor[s], minibatch=p + self.mb_offset)),
+                on_start=(lambda p=p: self.trace.emit(self.sim.now, self._fb_start, p + self.mb_offset)),
             )
         else:
-            self.trace.emit(self.sim.now, "f_enqueue", self._actor[s], minibatch=p + self.mb_offset)
+            self.trace.emit(self.sim.now, self._f_enqueue[s], p + self.mb_offset)
             state.processor.submit(
                 self._task_time(s, stage.fwd_compute),
                 lambda: self._forward_done(s, p),
                 tag=("F", p),
-                on_start=(lambda s=s, p=p: self.trace.emit(self.sim.now, "f_start", self._actor[s], minibatch=p + self.mb_offset)),
+                on_start=(lambda site=self._f_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
             )
 
     def _forward_done(self, s: int, p: int) -> None:
-        self.trace.emit(self.sim.now, "f_done", self._actor[s], minibatch=p + self.mb_offset)
+        self.trace.emit(self.sim.now, self._f_done[s], p + self.mb_offset)
         state = self.stages[s]
         nbytes = self.plan.stages[s + 1].activation_in_bytes
         assert state.to_next is not None
@@ -327,7 +345,7 @@ class VirtualWorkerPipeline:
 
     def _forward_backward_done(self, s: int, p: int) -> None:
         """Fused task on the last stage finished; emit gradient."""
-        self.trace.emit(self.sim.now, "fb_done", self._actor[s], minibatch=p + self.mb_offset)
+        self.trace.emit(self.sim.now, self._fb_done, p + self.mb_offset)
         self._backward_finished(s, p)
 
     def _gradient_arrived(self, s: int, p: int) -> None:
@@ -343,16 +361,16 @@ class VirtualWorkerPipeline:
             state.bwd_ready.remove(p)
             state.next_bwd += 1
             stage = self.plan.stages[s]
-            self.trace.emit(self.sim.now, "b_enqueue", self._actor[s], minibatch=p + self.mb_offset)
+            self.trace.emit(self.sim.now, self._b_enqueue[s], p + self.mb_offset)
             state.processor.submit(
                 self._task_time(s, stage.bwd_compute),
                 (lambda s=s, p=p: self._backward_done(s, p)),
                 tag=("B", p),
-                on_start=(lambda s=s, p=p: self.trace.emit(self.sim.now, "b_start", self._actor[s], minibatch=p + self.mb_offset)),
+                on_start=(lambda site=self._b_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
             )
 
     def _backward_done(self, s: int, p: int) -> None:
-        self.trace.emit(self.sim.now, "b_done", self._actor[s], minibatch=p + self.mb_offset)
+        self.trace.emit(self.sim.now, self._b_done[s], p + self.mb_offset)
         self._backward_finished(s, p)
 
     def _backward_finished(self, s: int, p: int) -> None:
@@ -375,7 +393,7 @@ class VirtualWorkerPipeline:
         self.active -= 1
         self.version_stamps.pop(p, None)
         self.done_times[pub] = self.sim.now
-        self.trace.emit(self.sim.now, "minibatch_done", self.name, minibatch=pub)
+        self.trace.emit(self.sim.now, self._done_site, pub)
         if self.on_minibatch_done is not None:
             self.on_minibatch_done(pub, self.sim.now)
         self._try_inject()

@@ -381,7 +381,7 @@ def run_pipeline_fast_forward(
         advance_components(comps, sizes, cycles, cycle.deltas[1:], dt)
         minibatches = cycles * m
         skipped += minibatches
-        pipeline.trace.emit(
+        pipeline.trace.record(
             sim.now,
             "fast_forward",
             pipeline.name,

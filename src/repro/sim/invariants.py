@@ -90,6 +90,9 @@ class RuntimeOracle:
     """
 
     runtime: "HetPipeRuntime | None" = None
+    #: record categories :meth:`on_trace` reads; the runtime routes only
+    #: these to it (``None``: every category)
+    trace_categories: frozenset[str] | None = None
 
     def bind(self, runtime: "HetPipeRuntime") -> None:
         """Called once by the runtime before the run starts."""
@@ -261,6 +264,10 @@ class _StageOrder:
         self.fwd_done_max = 0
         self.bwd_done_max = 0
 
+    def __repr__(self) -> str:  # diagnostics bundles show the watermarks
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in self.__slots__)
+        return f"_StageOrder({fields})"
+
 
 #: The record categories the scheduling oracle inspects (set membership
 #: is the per-record fast path — most records are filtered out here).
@@ -271,6 +278,8 @@ _SCHED_CATEGORIES = frozenset(
 
 class SchedulingOracle(RuntimeOracle):
     """§4 scheduling conditions, checked live from the trace stream."""
+
+    trace_categories = _SCHED_CATEGORIES | {"inject"}
 
     def __init__(self) -> None:
         self._stages: dict[str, _StageOrder] = {}
@@ -776,6 +785,9 @@ class OneFOneBOracle:
     order.
     """
 
+    #: the record categories :meth:`on_trace` reads (and is routed)
+    trace_categories = frozenset(("b_ready", "b_start", "f_start", "fb_start", "fast_forward"))
+
     def __init__(self, pipeline: "OneFOneBPipeline") -> None:
         self.name = pipeline.name
         self.k = pipeline.plan.k
@@ -785,7 +797,7 @@ class OneFOneBOracle:
         self.forwards_checked = 0
         #: actor string -> stage index (or None); parsed once per actor
         self._stage_cache: dict[str, int | None] = {}
-        pipeline.trace.subscribe(self.on_trace)
+        pipeline.trace.subscribe(self.on_trace, self.trace_categories)
 
     def _stage_of(self, actor: str) -> int | None:
         stage = self._stage_cache.get(actor)
@@ -796,7 +808,10 @@ class OneFOneBOracle:
         return stage
 
     def on_trace(self, record: TraceRecord) -> None:
-        if record.category == "fast_forward" and record.actor == self.name:
+        category = record.category
+        if category == "fast_forward":
+            if record.actor != self.name:
+                return
             # A steady-state skip advanced the public numbering; shift
             # every expectation by the coalesced minibatches (pending
             # ready-queue entries are part of the repeating pattern).
@@ -806,13 +821,15 @@ class OneFOneBOracle:
                 self._next_bwd[s] += advanced
                 self._bwd_ready[s] = [p + advanced for p in self._bwd_ready[s]]
             return
+        if category not in self.trace_categories:
+            return
         s = self._stage_of(record.actor)
         if s is None:
             return
         p = record.detail["minibatch"]
-        if record.category == "b_ready":
+        if category == "b_ready":
             self._bwd_ready[s].append(p)
-        elif record.category == "b_start":
+        elif category == "b_start":
             if p != self._next_bwd[s]:
                 raise InvariantViolation(
                     f"1f1b: {record.actor} started backward {p}, expected {self._next_bwd[s]}"
@@ -824,7 +841,7 @@ class OneFOneBOracle:
                     f"head of its ready queue {self._bwd_ready[s]}"
                 )
             self._bwd_ready[s].pop(0)
-        elif record.category in ("f_start", "fb_start"):
+        elif category in ("f_start", "fb_start"):
             if p != self._next_fwd[s]:
                 raise InvariantViolation(
                     f"1f1b: {record.actor} started forward {p}, expected {self._next_fwd[s]}"

@@ -4,12 +4,19 @@ The pipeline engine and the WSP runtime emit trace records (task start /
 end, push, pull, wait) through a :class:`Trace`.  Tests use the trace to
 assert ordering invariants (FIFO scheduling conditions, staleness bounds)
 and the metrics layer uses it to compute waiting and idle time breakdowns.
+
+Every record enters through one method, :meth:`Trace.emit`, with a
+:class:`TraceSite` built once per (category, actor, key): the site holds
+what does not change from one emit to the next (the digest-line prefix,
+the hasher, the subscribers routed to its category).  Multi-key records
+use :meth:`Trace.record`, a keyword adapter over the same ``emit``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Iterator
+from collections import defaultdict
+from typing import Any, Callable, Iterable, Iterator
 
 
 class TraceRecord:
@@ -69,23 +76,64 @@ SEMANTIC_CATEGORIES = frozenset(
     ("inject", "minibatch_done", "wave_push", "pull_done", "fast_forward")
 )
 
-#: Cap on the per-(category, actor, key) digest-line memo.  High-
-#: cardinality actor names (one per stage per uniquely-named pipeline)
-#: could otherwise grow the memo without bound across a long sweep;
-#: sites past the cap hash through the direct, unmemoized path.
-DIGEST_MIDS_MAX = 4096
+
+class TraceSite:
+    """One emission point of one :class:`Trace`: a (category, actor, key).
+
+    Build sites through :meth:`Trace.site`.  A keyed site's records carry
+    the single detail pair ``{key: value}``; a site with ``key=None``
+    takes the whole detail dict as its value.  ``hasher`` is the trace's
+    hasher when this category is hashed (else ``None``), and ``prefix``
+    the part of the record's digest line between the timestamp and the
+    value (empty when unhashed).  ``observers`` is the trace's live
+    subscriber list for the category: later :meth:`Trace.subscribe`
+    calls extend it in place, so a site never goes stale.
+    """
+
+    __slots__ = ("category", "actor", "key", "prefix", "hasher", "observers")
+
+    def __init__(
+        self,
+        category: str,
+        actor: str,
+        key: str | None,
+        hasher: Any,
+        observers: list[Callable[[TraceRecord], None]],
+    ) -> None:
+        self.category = category
+        self.actor = actor
+        self.key = key
+        # _digest_line renders one pair as "[('key', value)]": everything
+        # up to the value is fixed per site.
+        if hasher is None:
+            self.prefix = ""
+        elif key is None:
+            self.prefix = f"|{category}|{actor}|"
+        else:
+            self.prefix = f"|{category}|{actor}|[({key!r}, "
+        self.hasher = hasher
+        self.observers = observers
 
 
 class Trace:
     """Append-only record store with simple filtered views.
 
-    Recording can be disabled (``enabled=False``) for large benchmark runs
-    where only aggregate counters matter; the emit path then costs a
-    single attribute check.
+    **One record path.**  Every record passes through :meth:`emit`
+    exactly once, as ``emit(time, site, value)`` with a prebuilt
+    :class:`TraceSite`; :meth:`record` is the keyword adapter for
+    multi-key records and one-off callers.  The emit builds no kwargs
+    dict and does no lookup, and it allocates a :class:`TraceRecord`
+    only when storage is on or a subscriber is routed to the category.
 
-    Live observers registered through :meth:`subscribe` see every record
-    as it is emitted, even with storage disabled — the invariant oracles
-    use this to check runs too long to keep in memory.
+    Recording can be disabled (``enabled=False``) for large benchmark runs
+    where only aggregate counters matter.
+
+    **Category routing.**  Observers registered through :meth:`subscribe`
+    see each record as it is emitted, even with storage disabled — the
+    invariant oracles use this to check runs too long to keep in memory.
+    An observer subscribed with ``categories`` sees only records of
+    those categories; one subscribed without sees them all.  Within a
+    category, observers run in subscription order.
 
     ``digest=True`` additionally folds every record into a running
     content hash *at emit time*.  Combined with ``enabled=False`` this is
@@ -93,7 +141,11 @@ class Trace:
     O(1) memory, instead of retaining every :class:`TraceRecord` for the
     whole run.  The streaming hash is computed record-by-record with the
     exact scheme :meth:`digest` uses over stored records, so the two
-    modes produce identical digests for identical runs.
+    modes produce identical digests for identical runs.  Records of one
+    simulated instant share the engine's clock float, so the hasher
+    renders ``repr(time)`` once and reuses it while the timestamp is the
+    *same object* — identity, not equality, since ``0.0 == -0.0`` while
+    their reprs differ.
     """
 
     def __init__(self, enabled: bool = True, digest: bool = False, schema: int = 1) -> None:
@@ -102,50 +154,73 @@ class Trace:
         self.enabled = enabled
         self.schema = schema
         self.records: list[TraceRecord] = []
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
         self._hasher = hashlib.sha256() if digest else None
         if self._hasher is not None and schema == 2:
             self._hasher.update(SCHEMA_2_TAG)
         #: schema 1 hashes every record; schema 2 only the semantic ones
         self._digest_all = schema == 1
-        #: (category, actor, key) -> precomputed middle of the digest
-        #: line; the tuple repeats for every task a stage ever runs, so
-        #: the string is assembled once per distinct site (bounded by
-        #: DIGEST_MIDS_MAX; overflow sites hash without the memo)
-        self._digest_mids: dict[tuple[str, str, str], str] = {}
+        #: observers of every category, in subscription order
+        self._unrouted: list[Callable[[TraceRecord], None]] = []
+        #: category -> its observers, starting from the unrouted ones;
+        #: sites hold these lists by reference
+        self._routes: defaultdict[str, list[Callable[[TraceRecord], None]]] = defaultdict(
+            self._unrouted.copy
+        )
+        #: the last hashed timestamp object and its repr
+        self._time: float | None = None
+        self._time_repr = ""
 
-    def subscribe(self, observer: Callable[[TraceRecord], None]) -> None:
-        """Call ``observer`` with each record at emit time."""
-        self._subscribers.append(observer)
-
-    def emit(self, time: float, category: str, actor: str, **detail: Any) -> None:
-        hasher = self._hasher
-        if hasher is not None and (self._digest_all or category in SEMANTIC_CATEGORIES):
-            # Almost every record carries exactly one detail pair; its
-            # line is assembled from a per-(category, actor, key) cached
-            # middle instead of sorting and repr-ing a list.  The output
-            # string is identical to the generic path, just cheaper.
-            if len(detail) == 1:
-                [(key, value)] = detail.items()
-                site = (category, actor, key)
-                mids = self._digest_mids
-                mid = mids.get(site)
-                if mid is None:
-                    mid = f"|{category}|{actor}|[({key!r}, "
-                    if len(mids) < DIGEST_MIDS_MAX:
-                        mids[site] = mid
-                hasher.update(f"{time!r}{mid}{value!r})]\n".encode())
-            else:
-                hasher.update(
-                    f"{time!r}|{category}|{actor}|{sorted(detail.items())!r}\n".encode()
-                )
-        if not self.enabled and not self._subscribers:
+    def subscribe(
+        self,
+        observer: Callable[[TraceRecord], None],
+        categories: Iterable[str] | None = None,
+    ) -> None:
+        """Call ``observer`` with each record of ``categories`` (default:
+        every category) at emit time."""
+        if categories is None:
+            self._unrouted.append(observer)
+            for observers in self._routes.values():
+                observers.append(observer)
             return
-        record = TraceRecord(time, category, actor, detail)
-        if self.enabled:
-            self.records.append(record)
-        for observer in self._subscribers:
-            observer(record)
+        for category in set(categories):
+            self._routes[category].append(observer)
+
+    def site(self, category: str, actor: str, key: str | None = None) -> TraceSite:
+        """The emission point for ``category`` records of ``actor``."""
+        hashed = self._digest_all or category in SEMANTIC_CATEGORIES
+        return TraceSite(
+            category, actor, key, self._hasher if hashed else None, self._routes[category]
+        )
+
+    def emit(self, time: float, site: TraceSite, value: Any) -> None:
+        """Record ``site``'s occurrence at ``time``.
+
+        ``value`` is the detail value of a keyed site, or the whole
+        detail dict of a ``key=None`` site.
+        """
+        hasher = site.hasher
+        if hasher is not None:
+            if time is not self._time:
+                self._time = time
+                self._time_repr = repr(time)
+            if site.key is None:
+                hasher.update(f"{self._time_repr}{site.prefix}{sorted(value.items())!r}\n".encode())
+            else:
+                hasher.update(f"{self._time_repr}{site.prefix}{value!r})]\n".encode())
+        observers = site.observers
+        if observers or self.enabled:
+            key = site.key
+            record = TraceRecord(
+                time, site.category, site.actor, value if key is None else {key: value}
+            )
+            if self.enabled:
+                self.records.append(record)
+            for observer in observers:
+                observer(record)
+
+    def record(self, time: float, category: str, actor: str, **detail: Any) -> None:
+        """Keyword form of :meth:`emit`: any number of detail pairs."""
+        self.emit(time, self.site(category, actor), detail)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -207,12 +207,22 @@ class HetPipeRuntime:
             self.gates.append(gate)
             self.pipelines.append(pipeline)
 
+        #: per-VW trace sites of the WSP records (a replacement pipeline
+        #: keeps its worker's index, so these never change)
+        self._wave_push_sites = [
+            self.trace.site("wave_push", f"vw{vw}", "wave") for vw in range(len(self.plans))
+        ]
+        self._pull_done_sites = [
+            self.trace.site("pull_done", f"vw{vw}", "version") for vw in range(len(self.plans))
+        ]
+
         for oracle in self.oracles:
             oracle.bind(self)
         # Dispatch only to oracles that actually override a callback: the
         # trace stream fires tens of thousands of times per run, and a
         # suite of five oracles with one trace consumer must not pay
-        # five virtual calls per record.
+        # five virtual calls per record.  Trace consumers subscribe to
+        # the record categories they declare and see no others.
         if self.oracles:
             from repro.sim.invariants import RuntimeOracle as _Base
 
@@ -228,11 +238,8 @@ class HetPipeRuntime:
             self._inject_oracles = overriding("on_inject")
             self._done_oracles = overriding("on_minibatch_done")
             self._pull_oracles = overriding("on_pull_done")
-            if len(self._trace_oracles) == 1:
-                # one consumer: skip the fan-out trampoline per record
-                self.trace.subscribe(self._trace_oracles[0].on_trace)
-            elif self._trace_oracles:
-                self.trace.subscribe(self._notify_trace)
+            for oracle in self._trace_oracles:
+                self.trace.subscribe(oracle.on_trace, oracle.trace_categories)
             if len(self._push_oracles) == 1:
                 self.ps.subscribe_push(self._push_oracles[0].on_push_recorded)
             elif self._push_oracles:
@@ -316,10 +323,6 @@ class HetPipeRuntime:
     # oracle plumbing
     # ------------------------------------------------------------------
 
-    def _notify_trace(self, record) -> None:
-        for oracle in self._trace_oracles:
-            oracle.on_trace(record)
-
     def _notify_push(self, vw: int, wave: int, global_version: int) -> None:
         for oracle in self._push_oracles:
             oracle.on_push_recorded(vw, wave, global_version)
@@ -387,7 +390,7 @@ class HetPipeRuntime:
             self.ps.push_bytes_only(vw, sources)
             return
         wave = p // self.nm - 1
-        self.trace.emit(self.sim.now, "wave_push", f"vw{vw}", wave=wave)
+        self.trace.emit(self.sim.now, self._wave_push_sites[vw], wave)
         self.ps.push(vw, wave, sources, on_complete=lambda: self._after_push(vw, wave))
 
     def _after_push(self, vw: int, wave: int) -> None:
@@ -415,7 +418,7 @@ class HetPipeRuntime:
             self.stats[vw].waiting_time += now - wait_start
             self._wait_started[vw] = None
         self.stats[vw].pulls += 1
-        self.trace.emit(now, "pull_done", f"vw{vw}", version=version)
+        self.trace.emit(now, self._pull_done_sites[vw], version)
         for oracle in self._pull_oracles:
             oracle.on_pull_done(vw, version, now)
         # Stamp the pipeline's live weight version before waking the
@@ -775,7 +778,7 @@ class _RuntimeFastForward:
         )
         for oracle in runtime.oracles:
             oracle.on_fast_forward(summary)
-        runtime.trace.emit(
+        runtime.trace.record(
             runtime.sim.now,
             "fast_forward",
             "runtime",

@@ -194,19 +194,19 @@ class TestTraceSchema2:
     def test_v2_digest_differs_from_v1_for_same_stream(self):
         v1, v2 = Trace(enabled=False, digest=True), Trace(enabled=False, digest=True, schema=2)
         for trace in (v1, v2):
-            trace.emit(0.5, "inject", "vw0", minibatch=1)
+            trace.record(0.5, "inject", "vw0", minibatch=1)
         assert v1.digest() != v2.digest()
 
     def test_v2_hashes_only_semantic_categories(self):
         a = Trace(enabled=False, digest=True, schema=2)
         b = Trace(enabled=False, digest=True, schema=2)
-        a.emit(0.1, "inject", "vw0", minibatch=1)
-        b.emit(0.1, "inject", "vw0", minibatch=1)
-        b.emit(0.2, "f_start", "vw0.s0", minibatch=1)  # raw record: unhashed
+        a.record(0.1, "inject", "vw0", minibatch=1)
+        b.record(0.1, "inject", "vw0", minibatch=1)
+        b.record(0.2, "f_start", "vw0.s0", minibatch=1)  # raw record: unhashed
         assert a.digest() == b.digest()
         b2 = Trace(enabled=False, digest=True, schema=2)
-        b2.emit(0.1, "inject", "vw0", minibatch=1)
-        b2.emit(0.3, "fast_forward", "vw0", cycles=4, minibatches=4)
+        b2.record(0.1, "inject", "vw0", minibatch=1)
+        b2.record(0.3, "fast_forward", "vw0", cycles=4, minibatches=4)
         assert b2.digest() != a.digest(), "macro summaries must be hashed"
         assert "fast_forward" in SEMANTIC_CATEGORIES
 
@@ -214,26 +214,20 @@ class TestTraceSchema2:
         streaming = Trace(enabled=False, digest=True, schema=2)
         stored = Trace(enabled=True, schema=2)
         for trace in (streaming, stored):
-            trace.emit(0.1, "inject", "vw0", minibatch=1)
-            trace.emit(0.2, "f_start", "vw0.s0", minibatch=1)
-            trace.emit(0.3, "minibatch_done", "vw0", minibatch=1)
+            trace.record(0.1, "inject", "vw0", minibatch=1)
+            trace.record(0.2, "f_start", "vw0.s0", minibatch=1)
+            trace.record(0.3, "minibatch_done", "vw0", minibatch=1)
         assert streaming.digest() == stored.digest()
 
-    def test_digest_mids_cap_bounds_memo_without_changing_digests(self):
-        from repro.sim import trace as trace_module
-
-        original = trace_module.DIGEST_MIDS_MAX
-        trace_module.DIGEST_MIDS_MAX = 8
-        try:
-            capped = Trace(enabled=False, digest=True)
-            twin = Trace(enabled=True)
-            for i in range(64):  # 64 distinct actors >> cap of 8
-                capped.emit(float(i), "f_start", f"vw{i}.s0", minibatch=i)
-                twin.emit(float(i), "f_start", f"vw{i}.s0", minibatch=i)
-            assert len(capped._digest_mids) <= 8
-            assert capped.digest() == twin.digest()
-        finally:
-            trace_module.DIGEST_MIDS_MAX = original
+    def test_distinct_actor_sites_stream_the_stored_digest(self):
+        streaming = Trace(enabled=False, digest=True)
+        stored = Trace(enabled=True)
+        for trace in (streaming, stored):
+            sites = [trace.site("f_start", f"vw{i}.s0", "minibatch") for i in range(64)]
+            for i, site in enumerate(sites):
+                trace.emit(float(i), site, i)
+        assert len(stored) == 64
+        assert streaming.digest() == stored.digest()
 
 
 # ----------------------------------------------------------------------

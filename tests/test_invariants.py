@@ -243,12 +243,12 @@ class TestOneFOneBOracle:
         )
         OneFOneBOracle(pipeline)
         # forge a schedule that dispatches a forward over a ready backward
-        trace.emit(0.0, "f_ready", f"{pipeline.name}.s0", minibatch=1)
-        trace.emit(0.0, "f_start", f"{pipeline.name}.s0", minibatch=1)
-        trace.emit(0.1, "b_ready", f"{pipeline.name}.s0", minibatch=1)
-        trace.emit(0.1, "f_ready", f"{pipeline.name}.s0", minibatch=2)
+        trace.record(0.0, "f_ready", f"{pipeline.name}.s0", minibatch=1)
+        trace.record(0.0, "f_start", f"{pipeline.name}.s0", minibatch=1)
+        trace.record(0.1, "b_ready", f"{pipeline.name}.s0", minibatch=1)
+        trace.record(0.1, "f_ready", f"{pipeline.name}.s0", minibatch=2)
         with pytest.raises(InvariantViolation, match="backward must be preferred"):
-            trace.emit(0.2, "f_start", f"{pipeline.name}.s0", minibatch=2)
+            trace.record(0.2, "f_start", f"{pipeline.name}.s0", minibatch=2)
 
 
 class TestWSPGateWakeOnAdvance:

@@ -7,13 +7,25 @@ Two contracts of :class:`~repro.wsp.runtime.HetPipeRuntime`:
   other callbacks the oracle overrides;
 * the per-callback filtered dispatch (built from which methods a
   subclass actually overrides) never skips an overriding oracle and
-  never includes a non-overriding one.
+  never includes a non-overriding one;
+* a trace oracle is routed only its declared ``trace_categories``, and
+  a record of any other category leaves its state unchanged — so the
+  routing can never silently drop a check.
 """
 
 from __future__ import annotations
 
+from repro.pipeline.one_f_one_b import OneFOneBPipeline
 from repro.scenarios import generate_scenario
-from repro.sim.invariants import RuntimeOracle, default_oracles
+from repro.scenarios.runner import _oracle_state
+from repro.sim.engine import Simulator
+from repro.sim.invariants import (
+    OneFOneBOracle,
+    RuntimeOracle,
+    SchedulingOracle,
+    default_oracles,
+)
+from repro.sim.trace import Trace, TraceRecord
 from repro.wsp.runtime import HetPipeRuntime
 
 from test_obs import small_run_spec
@@ -172,3 +184,62 @@ class TestFilteredDispatch:
         assert [type(o) for o in runtime._push_oracles] == [VersionOracle]
         assert StalenessOracle in {type(o) for o in runtime._inject_oracles}
         assert ConservationOracle in {type(o) for o in runtime._done_oracles}
+
+
+#: Records only the fault injector writes (rare; no fault-free run
+#: below emits them).
+FAULT_CATEGORIES = {"fault", "fault_recovered", "repartition", "ps_retry", "checkpoint"}
+
+
+def _foreign_records(categories, actors):
+    """One record per (category, actor), with every detail key an
+    oracle reads, so a misrouted record would reach real checks."""
+    detail = {"minibatch": 1, "minibatches": 1, "wave": 0, "version": 0}
+    return [
+        TraceRecord(0.0, category, actor, dict(detail))
+        for category in sorted(categories)
+        for actor in actors
+    ]
+
+
+class TestCategoryRouting:
+    """Narrowing an oracle's route must never drop one of its checks."""
+
+    def _runtime_run(self):
+        run = small_run_spec()
+        trace = Trace()
+        oracle = SchedulingOracle()
+        runtime = HetPipeRuntime.from_spec(run, trace=trace, oracles=[oracle])
+        _drive(runtime, run.pipeline)
+        return runtime, trace, oracle
+
+    def _1f1b_run(self, runtime):
+        trace = Trace()
+        pipeline = OneFOneBPipeline(
+            Simulator(), runtime.plans[0], runtime.cluster.interconnect,
+            limit=6, trace=trace,
+        )
+        oracle = OneFOneBOracle(pipeline)
+        pipeline.start()
+        pipeline.sim.run_until_idle()
+        assert oracle.forwards_checked > 0
+        return pipeline, trace, oracle
+
+    def test_oracles_ignore_every_category_outside_their_route(self):
+        runtime, trace, scheduling = self._runtime_run()
+        pipeline, trace_1f1b, one_f_one_b = self._1f1b_run(runtime)
+        universe = (
+            trace.categories() | trace_1f1b.categories() | FAULT_CATEGORIES
+            | {"fast_forward"}
+        )
+        cases = (
+            (scheduling, ["vw0", "vw0.s0", "vw0.s1", "vw1.s0", "runtime", "faults"]),
+            (one_f_one_b, [pipeline.name, f"{pipeline.name}.s0", f"{pipeline.name}.s1"]),
+        )
+        for oracle, actors in cases:
+            declared = oracle.trace_categories
+            assert declared and declared <= universe
+            before = _oracle_state([oracle])
+            for record in _foreign_records(universe - declared, actors):
+                oracle.on_trace(record)
+            assert _oracle_state([oracle]) == before, type(oracle).__name__

@@ -1,56 +1,59 @@
 """Trace recording and filtering."""
 
+import hashlib
+
 from repro.sim import Trace, TraceRecord
+from repro.sim.trace import SCHEMA_2_TAG, SEMANTIC_CATEGORIES, _digest_line
 
 
 def test_emit_and_len():
     trace = Trace()
-    trace.emit(1.0, "push", "vw0", wave=3)
-    trace.emit(2.0, "pull", "vw1")
+    trace.record(1.0, "push", "vw0", wave=3)
+    trace.record(2.0, "pull", "vw1")
     assert len(trace) == 2
 
 
 def test_disabled_trace_records_nothing():
     trace = Trace(enabled=False)
-    trace.emit(1.0, "push", "vw0")
+    trace.record(1.0, "push", "vw0")
     assert len(trace) == 0
 
 
 def test_filter_by_category():
     trace = Trace()
-    trace.emit(1.0, "push", "vw0")
-    trace.emit(2.0, "pull", "vw0")
-    trace.emit(3.0, "push", "vw1")
+    trace.record(1.0, "push", "vw0")
+    trace.record(2.0, "pull", "vw0")
+    trace.record(3.0, "push", "vw1")
     assert [r.actor for r in trace.filter(category="push")] == ["vw0", "vw1"]
 
 
 def test_filter_by_actor():
     trace = Trace()
-    trace.emit(1.0, "push", "vw0")
-    trace.emit(2.0, "pull", "vw1")
+    trace.record(1.0, "push", "vw0")
+    trace.record(2.0, "pull", "vw1")
     assert [r.category for r in trace.filter(actor="vw1")] == ["pull"]
 
 
 def test_filter_by_both():
     trace = Trace()
-    trace.emit(1.0, "push", "vw0")
-    trace.emit(2.0, "push", "vw1")
-    trace.emit(3.0, "pull", "vw1")
+    trace.record(1.0, "push", "vw0")
+    trace.record(2.0, "push", "vw1")
+    trace.record(3.0, "pull", "vw1")
     records = trace.filter(category="push", actor="vw1")
     assert len(records) == 1 and records[0].time == 2.0
 
 
 def test_categories():
     trace = Trace()
-    trace.emit(1.0, "a", "x")
-    trace.emit(2.0, "b", "x")
+    trace.record(1.0, "a", "x")
+    trace.record(2.0, "b", "x")
     assert trace.categories() == {"a", "b"}
 
 
 def test_last():
     trace = Trace()
-    trace.emit(1.0, "push", "vw0", wave=0)
-    trace.emit(2.0, "push", "vw0", wave=1)
+    trace.record(1.0, "push", "vw0", wave=0)
+    trace.record(2.0, "push", "vw0", wave=1)
     record = trace.last("push")
     assert record is not None and record.detail["wave"] == 1
     assert trace.last("missing") is None
@@ -58,7 +61,7 @@ def test_last():
 
 def test_iteration_and_repr():
     trace = Trace()
-    trace.emit(1.5, "push", "vw0", wave=2)
+    trace.record(1.5, "push", "vw0", wave=2)
     record = next(iter(trace))
     assert "push" in repr(record) and "wave=2" in repr(record)
 
@@ -67,7 +70,7 @@ def test_subscriber_sees_records_live():
     trace = Trace()
     seen = []
     trace.subscribe(seen.append)
-    trace.emit(1.0, "push", "vw0", wave=0)
+    trace.record(1.0, "push", "vw0", wave=0)
     assert len(seen) == 1 and seen[0].category == "push"
 
 
@@ -75,16 +78,16 @@ def test_subscriber_fires_even_when_storage_disabled():
     trace = Trace(enabled=False)
     seen = []
     trace.subscribe(seen.append)
-    trace.emit(1.0, "push", "vw0")
+    trace.record(1.0, "push", "vw0")
     assert len(seen) == 1 and len(trace) == 0
 
 
 def test_digest_stable_and_content_sensitive():
     a, b, c = Trace(), Trace(), Trace()
     for t in (a, b):
-        t.emit(1.0, "push", "vw0", wave=0)
-        t.emit(2.0, "pull", "vw1", version=3)
-    c.emit(1.0, "push", "vw0", wave=1)  # differs in detail only
+        t.record(1.0, "push", "vw0", wave=0)
+        t.record(2.0, "pull", "vw1", version=3)
+    c.record(1.0, "push", "vw0", wave=1)  # differs in detail only
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
 
@@ -98,9 +101,9 @@ def test_digest_canonicalizes_detail_order():
 
 def test_count():
     trace = Trace()
-    trace.emit(1.0, "push", "vw0")
-    trace.emit(2.0, "push", "vw1")
-    trace.emit(3.0, "pull", "vw0")
+    trace.record(1.0, "push", "vw0")
+    trace.record(2.0, "push", "vw1")
+    trace.record(3.0, "pull", "vw0")
     assert trace.count("push") == 2
     assert trace.count("push", actor="vw1") == 1
 
@@ -111,39 +114,137 @@ class TestStreamingDigest:
     def test_streaming_digest_matches_stored_digest(self):
         stored, streaming = Trace(enabled=True), Trace(enabled=False, digest=True)
         for t in (stored, streaming):
-            t.emit(1.0, "push", "vw0", wave=0)
-            t.emit(2.0, "pull", "vw1", version=3)
-            t.emit(2.5, "multi", "vw1", b=1, a=2)  # multi-key detail path
-            t.emit(3.0, "bare", "vw0")  # no detail
+            t.record(1.0, "push", "vw0", wave=0)
+            t.record(2.0, "pull", "vw1", version=3)
+            t.record(2.5, "multi", "vw1", b=1, a=2)  # multi-key detail path
+            t.record(3.0, "bare", "vw0")  # no detail
         assert streaming.digest() == stored.digest()
 
     def test_streaming_mode_stores_nothing(self):
         trace = Trace(enabled=False, digest=True)
         for i in range(10_000):
-            trace.emit(float(i), "f_start", "vw0.s0", minibatch=i)
+            trace.record(float(i), "f_start", "vw0.s0", minibatch=i)
         assert len(trace) == 0  # memory does not grow with the run
 
     def test_streaming_digest_is_order_sensitive(self):
         a, b = Trace(enabled=False, digest=True), Trace(enabled=False, digest=True)
-        a.emit(1.0, "x", "y", p=1)
-        a.emit(2.0, "x", "y", p=2)
-        b.emit(2.0, "x", "y", p=2)
-        b.emit(1.0, "x", "y", p=1)
+        a.record(1.0, "x", "y", p=1)
+        a.record(2.0, "x", "y", p=2)
+        b.record(2.0, "x", "y", p=2)
+        b.record(1.0, "x", "y", p=1)
         assert a.digest() != b.digest()
 
     def test_subscribers_still_fire_in_streaming_mode(self):
         trace = Trace(enabled=False, digest=True)
         seen = []
         trace.subscribe(seen.append)
-        trace.emit(1.0, "push", "vw0", wave=0)
+        trace.record(1.0, "push", "vw0", wave=0)
         assert len(seen) == 1 and seen[0].detail == {"wave": 0}
 
     def test_enabled_trace_with_streaming_digest_agrees_with_recompute(self):
         trace = Trace(enabled=True, digest=True)
-        trace.emit(1.0, "push", "vw0", wave=0)
-        trace.emit(2.0, "pull", "vw1", version=1)
+        trace.record(1.0, "push", "vw0", wave=0)
+        trace.record(2.0, "pull", "vw1", version=1)
         # the streaming hash agrees with a recompute from the stored
         # records (via a storing twin without the streaming hasher)
         twin = Trace(enabled=True)
         twin.records = list(trace.records)
         assert trace.digest() == twin.digest()
+
+
+def _recomputed(trace: Trace) -> str:
+    """The digest ``_digest_line`` gives over ``trace``'s stored records."""
+    h = hashlib.sha256()
+    if trace.schema == 2:
+        h.update(SCHEMA_2_TAG)
+    for r in trace.records:
+        if trace.schema == 1 or r.category in SEMANTIC_CATEGORIES:
+            h.update(_digest_line(r.time, r.category, r.actor, r.detail))
+    return h.hexdigest()
+
+
+class TestDigestExactness:
+    """The streamed digest (site prefixes, reused timestamp repr) equals
+    the digest recomputed line by line from the stored records."""
+
+    def _both(self, schema: int = 1) -> Trace:
+        return Trace(enabled=True, digest=True, schema=schema)
+
+    def test_same_float_object_twice(self):
+        trace = self._both()
+        now = 0.1 + 0.2
+        a = trace.site("f_start", "vw0.s0", "minibatch")
+        b = trace.site("f_done", "vw0.s0", "minibatch")
+        trace.emit(now, a, 1)
+        trace.emit(now, b, 1)
+        assert trace.records[0].time is trace.records[1].time
+        assert trace.digest() == _recomputed(trace)
+
+    def test_equal_valued_distinct_floats(self):
+        trace = self._both()
+        site = trace.site("f_start", "vw0.s0", "minibatch")
+        first = 0.1 + 0.2
+        second = first * 1.0
+        assert first == second and first is not second
+        trace.emit(first, site, 1)
+        trace.emit(second, site, 2)
+        assert trace.digest() == _recomputed(trace)
+
+    def test_zero_then_negative_zero(self):
+        trace = self._both()
+        site = trace.site("f_start", "vw0.s0", "minibatch")
+        zero = 0.0
+        negative = -zero
+        assert zero == negative and repr(zero) != repr(negative)
+        trace.emit(zero, site, 1)
+        trace.emit(negative, site, 1)
+        assert trace.digest() == _recomputed(trace)
+        same = self._both()
+        same_site = same.site("f_start", "vw0.s0", "minibatch")
+        same.emit(zero, same_site, 1)
+        same.emit(zero, same_site, 1)
+        assert trace.digest() != same.digest()
+
+    def test_schema_2_with_interleaved_non_semantic_records(self):
+        trace = self._both(schema=2)
+        inject = trace.site("inject", "vw0", "minibatch")
+        start = trace.site("f_start", "vw0.s0", "minibatch")
+        done = trace.site("minibatch_done", "vw0", "minibatch")
+        t0, t1 = 0.5, 0.5 + 0.25
+        trace.emit(t0, inject, 1)
+        trace.emit(t1, start, 1)  # unhashed, at a new timestamp
+        trace.emit(t0, done, 1)  # hashed again at the earlier object
+        trace.emit(t1, done, 2)
+        assert len(trace) == 4
+        assert trace.digest() == _recomputed(trace)
+
+    def test_multi_key_records(self):
+        trace = self._both()
+        now = 1.5
+        trace.record(now, "fault", "faults", kind="crash", detail="node 1 down")
+        trace.record(now, "bare", "vw0")
+        trace.emit(now, trace.site("inject", "vw0", "minibatch"), 3)
+        trace.record(2.0, "fast_forward", "vw0", cycles=4, minibatches=8, dt=0.25)
+        assert trace.digest() == _recomputed(trace)
+
+
+class TestCategoryRouting:
+    def test_routed_subscriber_sees_only_its_categories(self):
+        trace = Trace(enabled=False)
+        routed, everything = [], []
+        trace.subscribe(routed.append, {"inject"})
+        trace.subscribe(everything.append)
+        trace.record(1.0, "inject", "vw0", minibatch=1)
+        trace.record(2.0, "f_enqueue", "vw0.s0", minibatch=1)
+        assert [r.category for r in routed] == ["inject"]
+        assert [r.category for r in everything] == ["inject", "f_enqueue"]
+
+    def test_sites_see_later_subscribers_in_subscription_order(self):
+        trace = Trace(enabled=False)
+        site = trace.site("f_start", "vw0.s0", "minibatch")
+        order = []
+        trace.subscribe(lambda r: order.append("all-1"))
+        trace.subscribe(lambda r: order.append("routed"), ("f_start",))
+        trace.subscribe(lambda r: order.append("all-2"))
+        trace.emit(1.0, site, 1)
+        assert order == ["all-1", "routed", "all-2"]
