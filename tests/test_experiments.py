@@ -16,6 +16,7 @@ from repro.experiments.common import (
     fig3_virtual_workers,
     hetpipe_assignment_for_subset,
 )
+from repro.experiments.ablations import run_ablations
 from repro.experiments.fig3_single_vw import PAPER_FIG3_NM1, run_fig3
 from repro.experiments.fig4_multi_vw import run_fig4
 from repro.experiments.table4_whimpy import run_table4
@@ -138,3 +139,15 @@ class TestTable4:
 
     def test_render(self, result):
         assert "X" in result.render()  # the infeasibility marker
+
+
+class TestAblations:
+    def test_pipeline_style_rows_are_pinned(self):
+        """The Table-2 pipeline-style rows, exact: continuous HetPipe,
+        GPipe flush and PipeDream 1F1B on one identical plan."""
+        rows = run_ablations().values("pipeline-style")
+        assert {variant: repr(value) for variant, value in rows.items()} == {
+            "hetpipe-continuous": "175.59130970414137",
+            "gpipe-flush": "117.93956630998068",
+            "pipedream-1f1b": "175.59130970414137",
+        }

@@ -215,3 +215,26 @@ class TestRunnerTraceMemory:
             assert trace.enabled is False, "storage must stay off (memory)"
             assert trace._hasher is not None, "digest must stream instead"
             assert len(trace) == 0
+
+
+class TestOneFOneBGolden:
+    """Golden pin of the 1F1B cross-check's half of the fuzz digest:
+    (digest, events simulated, events fast-forwarded) per seed and
+    fidelity.  Any change to the 1F1B dispatch order, its trace
+    records or its fast-forward skips moves one of these."""
+
+    @pytest.mark.parametrize(
+        ("seed", "fidelity", "expected"),
+        [
+            (0, "full", ("b7c3b3723ffe550d608c5afbdedbb5f68bcb8708e955de13a6c9a903b23f2536", 65, 0)),
+            (1, "full", ("c1fb6c037306ccd66b004fe32b812ef9555d4a6d95a311eaa735dfa5285ee2ca", 81, 0)),
+            (0, "fast_forward", ("2285de489eecaad8d78782a6a46bb91ac4bfc0c9d06e546bddfe49b78cce2a34", 30, 35)),
+            (1, "fast_forward", ("0d71de984c6fcae69d9d6aba0b1ad6b155b3241078369fae04c4ab2fe85b3bac", 36, 45)),
+        ],
+    )
+    def test_check_1f1b_digest_is_pinned(self, seed, fidelity, expected):
+        from repro.scenarios.runner import _check_1f1b
+
+        violations = []
+        assert _check_1f1b(generate_scenario(seed), violations, fidelity) == expected
+        assert violations == []
