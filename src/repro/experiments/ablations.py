@@ -21,8 +21,7 @@ from repro.experiments.common import build_model, choose_nm, plan_assignment
 from repro.experiments.report import format_table
 from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.partition import max_feasible_nm, plan_virtual_worker
-from repro.pipeline import measure_pipeline
-from repro.pipeline.one_f_one_b import measure_1f1b_pipeline
+from repro.pipeline import OneFOneBPipeline, measure_pipeline
 from repro.units import mib
 from repro.wsp import measure_hetpipe
 
@@ -98,10 +97,11 @@ def run_ablations(
     rows.append(AblationRow("pipeline-style", "gpipe-flush", flush.throughput, "img/s"))
 
     # 3b. PipeDream-style 1F1B dispatch on the same plan (§2.3 / §9)
-    one_f_one_b = measure_1f1b_pipeline(
-        plan, cluster.interconnect, model.batch_size, measured_minibatches=40
+    one_f_one_b = measure_pipeline(
+        plan, cluster.interconnect, model.batch_size, measured_minibatches=40,
+        pipeline=OneFOneBPipeline,
     )
-    rows.append(AblationRow("pipeline-style", "pipedream-1f1b", one_f_one_b, "img/s"))
+    rows.append(AblationRow("pipeline-style", "pipedream-1f1b", one_f_one_b.throughput, "img/s"))
 
     # 3c. GPipe-style activation recomputation: more Maxm, slower steps
     vw0 = assignment.virtual_workers[0]

@@ -7,7 +7,8 @@ simulator, honoring the paper's scheduling conditions:
 
 1. forward of minibatch ``p`` only after forwards of all ``p' < p``;
 2. backward of ``p`` only after backwards of all ``p' < p``;
-3. FIFO among ready tasks on each GPU;
+3. FIFO among ready tasks on each GPU, or backward-first under 1F1B
+   (:class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline`);
 4. the last partition fuses forward+backward into a single task.
 
 Admission keeps at most ``Nm`` minibatches in flight; an optional
@@ -17,7 +18,7 @@ parameter servers.
 """
 
 from repro.pipeline.tasks import AdmissionGate, OpenGate, wave_minibatches, wave_of
-from repro.pipeline.one_f_one_b import OneFOneBPipeline, measure_1f1b_pipeline
+from repro.pipeline.one_f_one_b import OneFOneBPipeline
 from repro.pipeline.timeline import render_timeline
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.pipeline.metrics import PipelineMetrics, measure_pipeline
@@ -28,7 +29,6 @@ __all__ = [
     "OpenGate",
     "PipelineMetrics",
     "VirtualWorkerPipeline",
-    "measure_1f1b_pipeline",
     "measure_pipeline",
     "render_timeline",
     "wave_minibatches",

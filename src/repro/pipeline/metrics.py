@@ -6,7 +6,8 @@ plots: throughput (images/s) and per-stage GPU utilization, of which the
 paper reports the maximum across partitions.  The admission gate is the
 variant's (:mod:`repro.pipeline.variants`) over a bounded count, so the
 Table-2 GPipe ablation is the same measurement with
-``variant="gpipe_flush"``.
+``variant="gpipe_flush"``, and the PipeDream one is
+``pipeline=OneFOneBPipeline``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.topology import InterconnectSpec
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SpecError
 from repro.partition.spec import PartitionPlan
 from repro.pipeline.tasks import CountingGate
 from repro.pipeline.variants import DEFAULT_VARIANT, build_variant_gate, get_variant
@@ -56,6 +57,7 @@ def measure_pipeline(
     measured_minibatches: int = 60,
     fidelity=None,
     variant: str = DEFAULT_VARIANT,
+    pipeline: type[VirtualWorkerPipeline] = VirtualWorkerPipeline,
 ) -> PipelineMetrics:
     """Measure one virtual worker in isolation.
 
@@ -65,6 +67,12 @@ def measure_pipeline(
     ``variant`` picks the admission rule: the default keeps the
     continuous HetPipe pipeline, ``"gpipe_flush"`` admits wave ``w``
     only after every earlier wave drained (the Table-2 ablation).
+
+    ``pipeline`` picks the dispatch policy: the default runs HetPipe's
+    FIFO; a bounded subclass such as
+    :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline` is built with
+    ``limit=`` the window's total and admits by count alone, so it takes
+    only the default variant.
 
     ``fidelity`` is a :class:`repro.api.spec.FidelitySpec` (``None``
     means full fidelity).  Fast-forward coalesces confirmed steady-state
@@ -78,28 +86,37 @@ def measure_pipeline(
     fidelity = fidelity_mode(fidelity, "measure_pipeline")
     if warmup_minibatches is None:
         warmup_minibatches = 4 * plan.nm + 2 * plan.k
+    for arg, value in (("warmup_minibatches", warmup_minibatches),
+                       ("measured_minibatches", measured_minibatches)):
+        if value < 1:
+            raise SpecError(f"measure_pipeline: {arg} must be >= 1, got {value}")
     total = warmup_minibatches + measured_minibatches
 
     sim = Simulator()
-    gate = build_variant_gate(get_variant(variant), CountingGate(limit=total), plan.nm)
     marks: dict[str, tuple[float, list[float]]] = {}
 
     def on_done(p: int, now: float) -> None:
-        if pipeline.completed == warmup_minibatches:
-            marks["start"] = (now, [s.processor.busy_time for s in pipeline.stages])
-        elif pipeline.completed == total:
-            marks["end"] = (now, [s.processor.busy_time for s in pipeline.stages])
+        if vw.completed == warmup_minibatches:
+            marks["start"] = (now, [s.processor.busy_time for s in vw.stages])
+        elif vw.completed == total:
+            marks["end"] = (now, [s.processor.busy_time for s in vw.stages])
 
-    pipeline = VirtualWorkerPipeline(
-        sim, plan, interconnect, name=plan.model_name, gate=gate, on_minibatch_done=on_done
-    )
-    if hasattr(gate, "attach"):
-        gate.attach(pipeline)
-    pipeline.start()
-    if fidelity == "fast_forward":
-        run_pipeline_fast_forward(
-            pipeline, total, preserve=(warmup_minibatches, total)
+    if pipeline is VirtualWorkerPipeline:
+        gate = build_variant_gate(get_variant(variant), CountingGate(limit=total), plan.nm)
+        vw = VirtualWorkerPipeline(sim, plan, interconnect, name=plan.model_name, gate=gate)
+        if hasattr(gate, "attach"):
+            gate.attach(vw)
+    elif variant != DEFAULT_VARIANT:
+        raise SpecError(
+            f"measure_pipeline: variant {variant!r} composes over "
+            f"VirtualWorkerPipeline's gate; {pipeline.__name__} admits by count only"
         )
+    else:
+        vw = pipeline(sim, plan, interconnect, limit=total, name=plan.model_name)
+    vw.on_minibatch_done = on_done
+    vw.start()
+    if fidelity == "fast_forward":
+        run_pipeline_fast_forward(vw, total, preserve=(warmup_minibatches, total))
     else:
         sim.run_until_idle()
 
@@ -113,7 +130,7 @@ def measure_pipeline(
     utilizations = tuple(
         min(1.0, (b1 - b0) / window) for b0, b1 in zip(busy0, busy1)
     )
-    queue_delay, queue_depth = pipeline.channel_queue_stats()
+    queue_delay, queue_depth = vw.channel_queue_stats()
     return PipelineMetrics(
         model_name=plan.model_name,
         nm=plan.nm,
@@ -121,8 +138,8 @@ def measure_pipeline(
         throughput=measured_minibatches * batch_size / window,
         minibatch_rate=measured_minibatches / window,
         utilizations=utilizations,
-        peak_in_flight=tuple(pipeline.peak_in_flight()),
-        cross_node_bytes_per_minibatch=pipeline.cross_node_bytes() / total,
+        peak_in_flight=tuple(vw.peak_in_flight()),
+        cross_node_bytes_per_minibatch=vw.cross_node_bytes() / total,
         serial_latency=plan.serial_latency,
         measured_minibatches=measured_minibatches,
         queue_delay_total=queue_delay,

@@ -8,7 +8,7 @@ minibatches (§5): wave ``c`` contains minibatches
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 
@@ -45,13 +45,11 @@ class AdmissionGate(Protocol):
 class OpenGate:
     """A gate that always admits — plain pipelined MP (Fig. 3 runs)."""
 
-    _wake: Callable[[], None] | None = field(default=None, repr=False)
-
     def may_start(self, minibatch: int) -> bool:
         return True
 
     def subscribe(self, wake: Callable[[], None]) -> None:
-        self._wake = wake
+        pass  # never closes, so never re-opens
 
 
 @dataclass
@@ -59,10 +57,9 @@ class CountingGate:
     """Admits the first ``limit`` minibatches — bounded test runs."""
 
     limit: int
-    _wake: Callable[[], None] | None = field(default=None, repr=False)
 
     def may_start(self, minibatch: int) -> bool:
         return minibatch <= self.limit
 
     def subscribe(self, wake: Callable[[], None]) -> None:
-        self._wake = wake
+        pass  # a refused id stays refused: nothing to wake

@@ -70,12 +70,19 @@ class _StageState:
     next_bwd: int = 1  # next minibatch id whose backward may run (cond. 2)
     fwd_ready: set[int] = field(default_factory=set)
     bwd_ready: set[int] = field(default_factory=set)
-    in_flight: int = 0  # activations stashed: F started, B not finished
+    in_flight: int = 0  # activations stashed: F submitted, B not finished
     peak_in_flight: int = 0
 
 
 class VirtualWorkerPipeline:
     """Simulates pipelined model parallelism for one virtual worker."""
+
+    #: per-GPU dispatch order among ready tasks (§4 condition 3).  False
+    #: is HetPipe's FIFO: every in-order task is submitted the moment it
+    #: arrives.  True is PipeDream's 1F1B: ready tasks are held per stage
+    #: and, whenever the GPU idles, the head backward runs before the
+    #: head forward (see :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline`).
+    backward_first = False
 
     def __init__(
         self,
@@ -106,9 +113,11 @@ class VirtualWorkerPipeline:
         #: local staleness threshold; Nm - 1 unless overridden for tests
         self.slocal = plan.nm - 1 if slocal is None else slocal
         #: multiplicative task-duration noise (real-cluster variance);
-        #: deterministic per pipeline name
+        #: deterministic per pipeline name (no stream without jitter)
         self.jitter = jitter
-        self._jitter_rng = random.Random(zlib.crc32(name.encode()) & 0x7FFFFFFF)
+        self._jitter_rng = (
+            random.Random(zlib.crc32(name.encode()) & 0x7FFFFFFF) if jitter > 0 else None
+        )
         #: fault-injection state: per-stage straggler slowdown factors
         #: (empty = healthy; the no-fault duration path is unchanged)
         self.stage_scale: dict[int, float] = {}
@@ -138,19 +147,29 @@ class VirtualWorkerPipeline:
             )
 
         # Trace sites, built once.  The stages before the last run
-        # separate forward and backward tasks; the last runs fused ones.
-        inner, last = plan.k - 1, f"{name}.s{plan.k - 1}"
-        self._inject_site = self.trace.site("inject", name, "minibatch")
-        self._done_site = self.trace.site("minibatch_done", name, "minibatch")
-        self._f_enqueue = stage_sites(self.trace, "f_enqueue", name, inner)
-        self._f_start = stage_sites(self.trace, "f_start", name, inner)
-        self._f_done = stage_sites(self.trace, "f_done", name, inner)
-        self._b_enqueue = stage_sites(self.trace, "b_enqueue", name, inner)
-        self._b_start = stage_sites(self.trace, "b_start", name, inner)
-        self._b_done = stage_sites(self.trace, "b_done", name, inner)
-        self._fb_enqueue = self.trace.site("fb_enqueue", last, "minibatch")
-        self._fb_start = self.trace.site("fb_start", last, "minibatch")
-        self._fb_done = self.trace.site("fb_done", last, "minibatch")
+        # separate forward and backward tasks; the last runs fused ones,
+        # whose ``fb_*`` sites fill slot ``k - 1`` of the enqueue, start
+        # and done lists.  FIFO records admissions and submissions;
+        # backward-first records arrivals at a stage's ready set instead.
+        trace, inner, last = self.trace, plan.k - 1, f"{name}.s{plan.k - 1}"
+        if self.backward_first:
+            self._f_ready = stage_sites(trace, "f_ready", name, plan.k)
+            self._b_ready = stage_sites(trace, "b_ready", name, inner)
+        else:
+            self._inject_site = trace.site("inject", name, "minibatch")
+            self._f_enqueue = stage_sites(trace, "f_enqueue", name, inner) + [
+                trace.site("fb_enqueue", last, "minibatch")
+            ]
+            self._b_enqueue = stage_sites(trace, "b_enqueue", name, inner)
+        self._done_site = trace.site("minibatch_done", name, "minibatch")
+        self._f_start = stage_sites(trace, "f_start", name, inner) + [
+            trace.site("fb_start", last, "minibatch")
+        ]
+        self._f_done = stage_sites(trace, "f_done", name, inner)
+        self._b_start = stage_sites(trace, "b_start", name, inner)
+        self._b_done = stage_sites(trace, "b_done", name, inner) + [
+            trace.site("fb_done", last, "minibatch")
+        ]
         # Admission / completion bookkeeping (minibatch ids are 1-based).
         self.next_minibatch = 1
         self.active = 0  # admitted but not completed
@@ -268,7 +287,8 @@ class VirtualWorkerPipeline:
         alive = len(set(self.version_stamps.values()))
         if alive > self.versions_peak:
             self.versions_peak = alive
-        self.trace.emit(self.sim.now, self._inject_site, pub)
+        if not self.backward_first:
+            self.trace.emit(self.sim.now, self._inject_site, pub)
         if self.on_inject is not None:
             self.on_inject(pub, self.sim.now)
         self._forward_arrived(0, p)
@@ -281,28 +301,47 @@ class VirtualWorkerPipeline:
         """Input activation of minibatch ``p`` is now on stage ``s``."""
         state = self.stages[s]
         state.fwd_ready.add(p)
-        self._schedule_forward(s)
-
-    def _schedule_forward(self, s: int) -> None:
-        state = self.stages[s]
+        if self.backward_first:
+            self.trace.emit(self.sim.now, self._f_ready[s], p + self.mb_offset)
+            self._dispatch(s)
+            return
         # Condition 1: forwards run in minibatch order on each GPU.
         while state.next_fwd in state.fwd_ready:
             p = state.next_fwd
             state.fwd_ready.remove(p)
             state.next_fwd += 1
+            # Trace ids translate raw -> public at *emit* time (a
+            # fast-forward skip between enqueue and start advances
+            # mb_offset).
+            self.trace.emit(self.sim.now, self._f_enqueue[s], p + self.mb_offset)
             self._start_forward(s, p)
 
-    def _jittered(self, duration: float) -> float:
-        if self.jitter <= 0:
-            return duration
-        return duration * (1.0 + self.jitter * self._jitter_rng.uniform(-1.0, 1.0))
+    def _dispatch(self, s: int) -> None:
+        """Backward-first: if stage ``s``'s GPU is idle, submit its next
+        in-order backward when ready, else its next in-order forward."""
+        state = self.stages[s]
+        if state.processor.busy:
+            return
+        p = state.next_bwd
+        if p in state.bwd_ready:
+            state.bwd_ready.remove(p)
+            state.next_bwd += 1
+            self._start_backward(s, p)
+            return
+        p = state.next_fwd
+        if p in state.fwd_ready:
+            state.fwd_ready.remove(p)
+            state.next_fwd += 1
+            self._start_forward(s, p)
 
     def _task_time(self, s: int, duration: float) -> float:
         """Effective task duration on stage ``s``: straggler slowdown
         (if any fault is active) composed with the jitter draw."""
         if self.stage_scale:
             duration *= self.stage_scale.get(s, 1.0)
-        return self._jittered(duration)
+        if self.jitter <= 0:
+            return duration
+        return duration * (1.0 + self.jitter * self._jitter_rng.uniform(-1.0, 1.0))
 
     def _start_forward(self, s: int, p: int) -> None:
         state = self.stages[s]
@@ -310,27 +349,17 @@ class VirtualWorkerPipeline:
         state.in_flight += 1
         if state.in_flight > state.peak_in_flight:
             state.peak_in_flight = state.in_flight
-        last = s == self.plan.k - 1
-        # Trace ids translate raw -> public at *emit* time (a fast-forward
-        # skip between enqueue and start advances mb_offset).
-        if last:
+        if state.to_next is None:
             # Condition 4: last partition runs fwd+bwd as one task.
-            duration = self._task_time(s, stage.fwd_compute + stage.bwd_compute)
-            self.trace.emit(self.sim.now, self._fb_enqueue, p + self.mb_offset)
-            state.processor.submit(
-                duration,
-                lambda: self._forward_backward_done(s, p),
-                tag=("FB", p),
-                on_start=(lambda p=p: self.trace.emit(self.sim.now, self._fb_start, p + self.mb_offset)),
-            )
+            duration, done, kind = stage.fwd_compute + stage.bwd_compute, self._backward_done, "FB"
         else:
-            self.trace.emit(self.sim.now, self._f_enqueue[s], p + self.mb_offset)
-            state.processor.submit(
-                self._task_time(s, stage.fwd_compute),
-                lambda: self._forward_done(s, p),
-                tag=("F", p),
-                on_start=(lambda site=self._f_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
-            )
+            duration, done, kind = stage.fwd_compute, self._forward_done, "F"
+        state.processor.submit(
+            self._task_time(s, duration),
+            lambda: done(s, p),
+            tag=(kind, p),
+            on_start=(lambda site=self._f_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
+        )
 
     def _forward_done(self, s: int, p: int) -> None:
         self.trace.emit(self.sim.now, self._f_done[s], p + self.mb_offset)
@@ -338,43 +367,40 @@ class VirtualWorkerPipeline:
         nbytes = self.plan.stages[s + 1].activation_in_bytes
         assert state.to_next is not None
         state.to_next.transfer(nbytes, lambda: self._forward_arrived(s + 1, p))
+        if self.backward_first:
+            self._dispatch(s)
 
     # ------------------------------------------------------------------
     # backward path
     # ------------------------------------------------------------------
 
-    def _forward_backward_done(self, s: int, p: int) -> None:
-        """Fused task on the last stage finished; emit gradient."""
-        self.trace.emit(self.sim.now, self._fb_done, p + self.mb_offset)
-        self._backward_finished(s, p)
-
     def _gradient_arrived(self, s: int, p: int) -> None:
         state = self.stages[s]
         state.bwd_ready.add(p)
-        self._schedule_backward(s)
-
-    def _schedule_backward(self, s: int) -> None:
-        state = self.stages[s]
+        if self.backward_first:
+            self.trace.emit(self.sim.now, self._b_ready[s], p + self.mb_offset)
+            self._dispatch(s)
+            return
         # Condition 2: backwards run in minibatch order on each GPU.
         while state.next_bwd in state.bwd_ready:
             p = state.next_bwd
             state.bwd_ready.remove(p)
             state.next_bwd += 1
-            stage = self.plan.stages[s]
             self.trace.emit(self.sim.now, self._b_enqueue[s], p + self.mb_offset)
-            state.processor.submit(
-                self._task_time(s, stage.bwd_compute),
-                (lambda s=s, p=p: self._backward_done(s, p)),
-                tag=("B", p),
-                on_start=(lambda site=self._b_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
-            )
+            self._start_backward(s, p)
+
+    def _start_backward(self, s: int, p: int) -> None:
+        self.stages[s].processor.submit(
+            self._task_time(s, self.plan.stages[s].bwd_compute),
+            (lambda s=s, p=p: self._backward_done(s, p)),
+            tag=("B", p),
+            on_start=(lambda site=self._b_start[s], p=p: self.trace.emit(self.sim.now, site, p + self.mb_offset)),
+        )
 
     def _backward_done(self, s: int, p: int) -> None:
+        """Backward (the fused task on the last stage) of ``p`` finished
+        on stage ``s``: its stash frees and its gradient moves on."""
         self.trace.emit(self.sim.now, self._b_done[s], p + self.mb_offset)
-        self._backward_finished(s, p)
-
-    def _backward_finished(self, s: int, p: int) -> None:
-        """Common tail of backward completion on any stage."""
         state = self.stages[s]
         state.in_flight -= 1
         if s > 0:
@@ -383,6 +409,8 @@ class VirtualWorkerPipeline:
             state.to_prev.transfer(nbytes, lambda: self._gradient_arrived(s - 1, p))
         else:
             self._minibatch_done(p)
+        if self.backward_first:
+            self._dispatch(s)
 
     def _minibatch_done(self, p: int) -> None:
         # The last-stage bookkeeping treats the fused FB as both passes;

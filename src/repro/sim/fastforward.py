@@ -31,7 +31,7 @@ oracle).  The pieces:
   copy of the observed cycle, which is exactly what the skip applies.
 * :func:`run_pipeline_fast_forward` — the driver for standalone
   pipelines (:class:`~repro.pipeline.virtual_worker.VirtualWorkerPipeline`
-  and :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline`): boundary
+  under either dispatch policy, 1F1B included): boundary
   per minibatch completion, with optional *preserved* completion indices
   that are always simulated (measurement windows sample state there).
 * :class:`FastForwardSummary` — the macro event handed to invariant

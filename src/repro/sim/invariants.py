@@ -36,8 +36,10 @@ becomes impossible under the paper's rules:
   (bytes in == bytes out per traversed resource), per-resource
   utilization <= 1, and PS traffic totals matching the fabric's PS flow
   ledger.  A no-op under the dedicated network model.
-* :class:`OneFOneBOracle` — PipeDream-style dispatch discipline for
-  :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline`: a stage never
+* :class:`OneFOneBOracle` — PipeDream-style dispatch discipline for a
+  pipeline under backward-first dispatch
+  (:attr:`~repro.pipeline.virtual_worker.VirtualWorkerPipeline.backward_first`,
+  e.g. :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline`): a stage never
   starts a forward while its next in-order backward is ready.
 
 Fault-injected runs swap in the *graceful-degradation* family
@@ -76,7 +78,7 @@ from repro.sim.trace import TraceRecord
 from repro.wsp.staleness import global_staleness, local_staleness, missing_updates
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (wsp -> sim)
-    from repro.pipeline.one_f_one_b import OneFOneBPipeline
+    from repro.pipeline.virtual_worker import VirtualWorkerPipeline
     from repro.wsp.runtime import HetPipeRuntime
 
 
@@ -776,9 +778,9 @@ def fault_oracles() -> list[RuntimeOracle]:
 class OneFOneBOracle:
     """1F1B dispatch discipline, reconstructed from a pipeline's trace.
 
-    Subscribes to the trace of one
-    :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline` and mirrors its
-    ready-queues from ``f_ready``/``b_ready`` records.  The invariant: a
+    Subscribes to the trace of one backward-first pipeline (see
+    :attr:`~repro.pipeline.virtual_worker.VirtualWorkerPipeline.backward_first`)
+    and mirrors its ready sets from ``b_ready`` records.  The invariant: a
     stage must never *start a forward* while its next in-order backward
     is sitting ready (backwards drain first — the property that bounds
     stashed activations), and both task types must start in minibatch
@@ -788,7 +790,7 @@ class OneFOneBOracle:
     #: the record categories :meth:`on_trace` reads (and is routed)
     trace_categories = frozenset(("b_ready", "b_start", "f_start", "fb_start", "fast_forward"))
 
-    def __init__(self, pipeline: "OneFOneBPipeline") -> None:
+    def __init__(self, pipeline: "VirtualWorkerPipeline") -> None:
         self.name = pipeline.name
         self.k = pipeline.plan.k
         self._bwd_ready: dict[int, list[int]] = {s: [] for s in range(self.k)}

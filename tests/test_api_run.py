@@ -370,21 +370,26 @@ class TestRemovedForms:
                 fidelity="fast_forward",
             )
 
-    @pytest.mark.parametrize("surface", ["measure_pipeline", "measure_1f1b_pipeline"])
-    def test_measure_surfaces_reject_string_fidelity(self, surface, cluster):
+    @pytest.mark.parametrize(
+        "pipeline",
+        [
+            pytest.param("VirtualWorkerPipeline", id="measure_pipeline"),
+            pytest.param("OneFOneBPipeline", id="OneFOneBPipeline"),
+        ],
+    )
+    def test_measure_surfaces_reject_string_fidelity(self, pipeline, cluster):
         import repro.pipeline
         from repro.models import build_vgg19
         from repro.partition import plan_virtual_worker
 
-        measure = getattr(repro.pipeline, surface)
         plan = plan_virtual_worker(
             build_vgg19(), cluster.gpus[0:4], 2, cluster.interconnect,
             search_orderings=False,
         )
-        with pytest.raises(SpecError, match=f"{surface}.*FidelitySpec"):
-            measure(
-                plan, cluster.interconnect, 32,
-                measured_minibatches=40, fidelity="fast_forward",
+        with pytest.raises(SpecError, match="measure_pipeline.*FidelitySpec"):
+            repro.pipeline.measure_pipeline(
+                plan, cluster.interconnect, 32, measured_minibatches=40,
+                fidelity="fast_forward", pipeline=getattr(repro.pipeline, pipeline),
             )
 
     def test_default_fidelity_is_full(self, cluster):

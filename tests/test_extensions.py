@@ -7,12 +7,7 @@ from repro.cluster import paper_cluster
 from repro.errors import SimulationError
 from repro.models.calibration import DEFAULT_CALIBRATION
 from repro.partition import max_feasible_nm, plan_virtual_worker
-from repro.pipeline import (
-    OneFOneBPipeline,
-    measure_1f1b_pipeline,
-    measure_pipeline,
-    render_timeline,
-)
+from repro.pipeline import OneFOneBPipeline, measure_pipeline, render_timeline
 from repro.pipeline.tasks import CountingGate
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.sim import Simulator, Trace
@@ -42,6 +37,32 @@ class TestOneFOneB:
         with pytest.raises(SimulationError):
             pipeline.start()
 
+    @pytest.mark.parametrize(
+        ("nm", "expected"), [(2, [2, 2, 2, 1]), (4, [4, 4, 4, 1]), (6, [6, 6, 4, 1])]
+    )
+    def test_backward_first_bounds_stashed_activations(
+        self, nm, expected, vgg19, cluster, profiler
+    ):
+        """1F1B drains a ready backward before the next forward, so no
+        stage stashes more activations than under FIFO dispatch — and
+        at Nm=6 the third stage stashes strictly fewer."""
+        plan = plan_virtual_worker(
+            vgg19, cluster.gpus[0:4], nm, cluster.interconnect,
+            DEFAULT_CALIBRATION, profiler, search_orderings=False,
+        )
+        peaks = []
+        for pipeline in (
+            OneFOneBPipeline(Simulator(), plan, cluster.interconnect, limit=40),
+            VirtualWorkerPipeline(Simulator(), plan, cluster.interconnect, gate=CountingGate(40)),
+        ):
+            pipeline.start()
+            pipeline.sim.run_until_idle()
+            assert pipeline.completed == 40
+            peaks.append(pipeline.peak_in_flight())
+        one_f, fifo = peaks
+        assert one_f == expected
+        assert all(a <= b for a, b in zip(one_f, fifo))
+
     def test_throughput_close_to_fifo_on_balanced_plan(self, vvvv_plan, cluster):
         """On a balanced homogeneous partition, 1F1B and FIFO dispatch
         should deliver comparable steady-state throughput (PipeDream's
@@ -49,13 +70,17 @@ class TestOneFOneB:
         fifo = measure_pipeline(
             vvvv_plan, cluster.interconnect, 32, measured_minibatches=30
         ).throughput
-        one_f = measure_1f1b_pipeline(
-            vvvv_plan, cluster.interconnect, 32, measured_minibatches=30
-        )
+        one_f = measure_pipeline(
+            vvvv_plan, cluster.interconnect, 32, measured_minibatches=30,
+            pipeline=OneFOneBPipeline,
+        ).throughput
         assert one_f == pytest.approx(fifo, rel=0.15)
 
     def test_heterogeneous_plan(self, ed_plan, cluster):
-        rate = measure_1f1b_pipeline(ed_plan, cluster.interconnect, 32, measured_minibatches=20)
+        rate = measure_pipeline(
+            ed_plan, cluster.interconnect, 32, measured_minibatches=20,
+            pipeline=OneFOneBPipeline,
+        ).throughput
         assert rate > 0
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.api.spec import FidelitySpec
 from repro.errors import SimulationError
 from repro.pipeline.metrics import measure_pipeline
-from repro.pipeline.one_f_one_b import OneFOneBPipeline, measure_1f1b_pipeline
+from repro.pipeline.one_f_one_b import OneFOneBPipeline
 from repro.pipeline.tasks import CountingGate
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.sim.engine import Simulator
@@ -301,14 +301,18 @@ class TestPipelineFastForward:
         )
 
     def test_measure_1f1b_fidelities_agree(self, cluster, ed_plan):
-        full = measure_1f1b_pipeline(
-            ed_plan, cluster.interconnect, 32, measured_minibatches=150
+        full = measure_pipeline(
+            ed_plan, cluster.interconnect, 32, measured_minibatches=150,
+            pipeline=OneFOneBPipeline,
         )
-        ff = measure_1f1b_pipeline(
-            ed_plan, cluster.interconnect, 32,
-            measured_minibatches=150, fidelity=FidelitySpec(fidelity="fast_forward"),
+        ff = measure_pipeline(
+            ed_plan, cluster.interconnect, 32, measured_minibatches=150,
+            fidelity=FidelitySpec(fidelity="fast_forward"), pipeline=OneFOneBPipeline,
         )
-        assert _rel_close(full, ff)
+        assert _rel_close(full.throughput, ff.throughput)
+        for a, b in zip(full.utilizations, ff.utilizations):
+            assert _rel_close(a, b)
+        assert full.peak_in_flight == ff.peak_in_flight
 
     def test_1f1b_oracle_survives_a_skip(self, cluster, vvvv_plan):
         from repro.sim.invariants import OneFOneBOracle

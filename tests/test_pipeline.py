@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import StalenessViolation
+from repro.errors import SpecError, StalenessViolation
 from repro.models.memory import in_flight_at_stage
-from repro.pipeline import measure_pipeline, wave_minibatches, wave_of
+from repro.pipeline import OneFOneBPipeline, measure_pipeline, wave_minibatches, wave_of
 from repro.pipeline.tasks import CountingGate, OpenGate
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.sim import Simulator, Trace
@@ -128,6 +128,19 @@ class TestMemoryBehaviour:
 
 
 class TestMetrics:
+    @pytest.mark.parametrize("pipeline", [VirtualWorkerPipeline, OneFOneBPipeline])
+    @pytest.mark.parametrize("arg", ["warmup_minibatches", "measured_minibatches"])
+    def test_empty_window_is_a_spec_error(self, vvvv_plan, cluster, pipeline, arg):
+        with pytest.raises(SpecError, match=f"{arg} must be >= 1"):
+            measure_pipeline(vvvv_plan, cluster.interconnect, 32, pipeline=pipeline, **{arg: 0})
+
+    def test_variant_needs_the_gated_pipeline(self, vvvv_plan, cluster):
+        with pytest.raises(SpecError, match="gpipe_flush"):
+            measure_pipeline(
+                vvvv_plan, cluster.interconnect, 32, variant="gpipe_flush",
+                pipeline=OneFOneBPipeline,
+            )
+
     def test_throughput_positive_and_bounded(self, vvvv_plan, cluster, vgg19):
         metrics = measure_pipeline(vvvv_plan, cluster.interconnect, 32, measured_minibatches=20)
         assert metrics.throughput > 0
