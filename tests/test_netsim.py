@@ -544,3 +544,95 @@ class TestProfiles:
     def test_paper_cluster_accepts_profile(self):
         cluster = paper_cluster("VR", profile="nccl_modern")
         assert cluster.interconnect.ib_scale == pytest.approx(0.80)
+
+
+def _fabric_ledger(seed, shards=1, faults=False):
+    """(sha256 of the shared-fabric ledger, flows, events, retries) after
+    the main run of one fuzz seed, built the way ``run_scenario`` builds
+    it: the per-link counters, fabric and PS queue stats, the clock, the
+    event count and (faulted runs) the injector's retry ledger."""
+    import hashlib
+
+    from repro.api.build import build_scenario
+    from repro.scenarios.runner import (
+        EVENTS_PER_MINIBATCH,
+        _build_runtime,
+        _drive_main,
+        _fuzz_run_spec,
+        _makespan_only,
+    )
+    from repro.sim.trace import Trace
+
+    run = _fuzz_run_spec(
+        seed, "shared", "full", None, 1, shards, "size_balanced", faults=faults
+    )
+    scenario = build_scenario(run)
+    spec = scenario.spec
+    fabric_spec = congested_fabric_spec(seed)
+    total_waves = spec.warmup_waves + spec.measured_waves
+    budget = EVENTS_PER_MINIBATCH * (
+        len(scenario.plans) * (total_waves + spec.d + 3) * spec.nm
+    ) * max(plan.k for plan in scenario.plans)
+    if faults:
+        budget *= 4
+    runtime = _build_runtime(
+        scenario, run, "full", Trace(enabled=False), [], fabric_spec
+    )
+    injector = None
+    if faults:
+        from repro.faults import FaultInjector, FaultTargets, compile_schedule
+
+        horizon = _makespan_only(
+            scenario, run, budget, keep_network=True, fabric_spec=fabric_spec
+        )
+        targets = FaultTargets(
+            num_virtual_workers=len(scenario.plans),
+            stages_per_worker=tuple(plan.k for plan in scenario.plans),
+            node_ids=tuple(node.node_id for node in scenario.cluster.nodes),
+            shards=run.pipeline.shards,
+        )
+        schedule = compile_schedule(run.faults, targets, horizon, spec.seed)
+        assert schedule, "pinned faulted seeds must arm a schedule"
+        injector = FaultInjector(runtime, schedule, run.faults, horizon)
+        injector.arm()
+    _drive_main(runtime, spec, budget)
+    fabric, sim = runtime.fabric, runtime.sim
+    ledger = (
+        tuple(
+            (
+                link.name, link.free_at, link.busy_time, link.bytes_moved,
+                link.queue_delay_total, link.max_queue_depth,
+            )
+            for link in fabric.links()
+        ),
+        fabric.queue_delay_total,
+        len(fabric.flows),
+        runtime.ps.queue_stats(),
+        sim.now,
+        sim.events_processed,
+    )
+    retries = None
+    if injector is not None:
+        retries = injector.state.retries_attempted
+        ledger += (retries, injector.state.sends_resolved)
+    digest = hashlib.sha256(repr(ledger).encode()).hexdigest()
+    return digest, len(fabric.flows), sim.events_processed, retries
+
+
+class TestFabricLedgerGolden:
+    """Golden pin of the shared fabric's own counters after a fuzz
+    seed's main run.  The trace digests do not hash the per-link
+    ledger (free_at, busy time, bytes, queue delay, peak depth), so
+    these pins are what catches drift in the fabric's bookkeeping."""
+
+    @pytest.mark.parametrize(
+        ("seed", "shards", "faults", "expected"),
+        [
+            (0, 1, False, ("09216072de833b3be77260e24a2f7e00ca38992b1fa951438f21e9d810e79090", 350, 660, None)),
+            (5, 4, False, ("1e807b9945f08c6c19848f9542fc66b55d8d600371430f3d055eae1ab6188dd4", 2280, 4216, None)),
+            (5, 1, True, ("f12e46bec8a2881175d4754a24080474179eb577f0190d39e4bba4dc117b0289", 1945, 3696, 24)),
+            (9, 1, True, ("162bb0ffa1a4e9895aa692edcfc5ad8d8416306a97ab14f395ec35ab02f78d8f", 213, 377, 8)),
+        ],
+    )
+    def test_shared_fabric_ledger_is_pinned(self, seed, shards, faults, expected):
+        assert _fabric_ledger(seed, shards, faults) == expected
