@@ -27,6 +27,16 @@ bandwidth, same end-to-end latency), so ``shared`` mode differs from
 shared resources — which is precisely what the fuzz oracle
 ``shared makespan >= dedicated makespan`` checks.
 
+Booking a flow is one loop inside :class:`Fabric`: it reads ``free_at``
+over the path to find the start, then updates every hop's counters
+(queueing delay, pending starts, peak depth, ``free_at``, busy time,
+bytes, and the obs span) in place.  :class:`SharedLink` itself only
+holds that state and answers queries.  Routes are static, so a stream
+that sends repeatedly between the same endpoints (a pipeline edge, a PS
+push/pull stream) binds its route once as a :class:`FabricEdge`;
+:meth:`Fabric.transfer` looks the route up per call and serves one-off
+flows.
+
 Every resource keeps the accounting the invariant oracles and the
 ``repro netsim`` report read: occupancy (utilization <= 1 by
 construction, re-verified by :meth:`Fabric.verify`), bytes charged by
@@ -127,9 +137,18 @@ class SharedLink:
     ``busy_time`` accumulates exact occupancy, so ``utilization`` can
     never exceed 1 — the oracle re-checks both properties.
 
-    Starts on one link never decrease (:meth:`Fabric.transfer` starts a
-    flow at the max ``free_at`` over its path), so the pending starts are
-    a FIFO pruned from its head in amortized O(1) per reservation.
+    A link holds state and answers queries; it has no write method.
+    :meth:`Fabric.transfer` (and every :class:`FabricEdge`) updates the
+    counters of all hops of a flow in one loop, so there is exactly one
+    place where a reservation is booked.
+
+    Starts on one link never decrease (a flow starts at the max
+    ``free_at`` over its path), so the pending starts are a FIFO pruned
+    from its head in amortized O(1) per reservation.  A queued flow may
+    leave its link idle until the flow's start because *another* hop is
+    the one it waits for.  Such an idle window is the only thing
+    ``_gaps`` records, only while it can still end after the clock, and
+    it is all :meth:`utilization` needs to clip exactly at ``sim.now``.
     """
 
     def __init__(self, sim: Simulator, bandwidth: float, name: str, kind: str) -> None:
@@ -145,6 +164,9 @@ class SharedLink:
         self.max_queue_depth = 0
         self._free_at = 0.0
         self._pending_starts: deque[float] = deque()
+        #: idle windows ``(from, to)`` that a queued reservation left
+        #: before its start ``to``; pruned once ``to`` has passed
+        self._gaps: deque[tuple[float, float]] = deque()
         if sim.obs is not None:
             sim.obs.register_resource(self)
 
@@ -157,42 +179,27 @@ class SharedLink:
         """Reserved flows that have not started by ``sim.now``."""
         return sum(1 for t in self._pending_starts if t > self.sim.now)
 
-    def occupy(self, start: float, duration: float, nbytes: float) -> None:
-        """Reserve ``[start, start + duration)`` for one flow.
-
-        ``start`` must not overlap the previous reservation — the fabric
-        guarantees it by starting flows at the max ``free_at`` over their
-        path; violating it means double-booked capacity, which the
-        oracle treats as an invariant violation, not a plain sim error.
-        """
-        now = self.sim.now
-        if start < self._free_at - 1e-12:
-            raise InvariantViolation(
-                f"{self.name}: overlapping reservation at t={start} "
-                f"(free at {self._free_at})"
-            )
-        self.queue_delay_total += max(0.0, min(self._free_at, start) - now)
-        pending = self._pending_starts
-        while pending and pending[0] <= now:
-            pending.popleft()
-        if start > now:
-            pending.append(start)
-            if len(pending) > self.max_queue_depth:
-                self.max_queue_depth = len(pending)
-        self._free_at = start + duration
-        self.busy_time += duration
-        self.bytes_moved += nbytes
-        obs = self.sim.obs
-        if obs is not None:
-            obs.channel_span(self.name, start, start + duration, nbytes)
-
     def utilization(self, elapsed: float | None = None) -> float:
-        """Fraction of time occupied by flow service (reservations that
-        extend past ``elapsed`` are clipped to it)."""
+        """Fraction of ``[0, elapsed)`` occupied by flow service.
+
+        Reservations that run past ``elapsed`` are clipped to it: the
+        occupancy after ``elapsed`` is the span up to ``free_at`` less
+        the idle gaps inside that span.  The clip is exact for any
+        ``elapsed >= sim.now`` (the default, and what every report
+        passes); an earlier ``elapsed`` can miss gaps already pruned.
+        """
         window = self.sim.now if elapsed is None else elapsed
         if window <= 0:
             return 0.0
-        busy = self.busy_time - max(0.0, self._free_at - window)
+        beyond = self._free_at - window
+        if beyond > 0.0:
+            idle = 0.0
+            for gap_from, gap_to in self._gaps:
+                if gap_to > window:
+                    idle += gap_to - (gap_from if gap_from > window else window)
+            busy = self.busy_time - (beyond - idle)
+        else:
+            busy = self.busy_time
         return max(0.0, busy / window)
 
 
@@ -370,19 +377,46 @@ class Fabric:
         is the slow party (e.g. the calibrated achieved rate of a
         software allreduce stack), so shared-mode service is never
         faster than the calibrated dedicated model it replaces.
+
+        This is the entry point for one-off flows; a stream that sends
+        repeatedly between the same endpoints binds its route once
+        through :class:`FabricEdge`.
         """
-        if nbytes < 0:
-            raise SimulationError(f"fabric: negative transfer size {nbytes}")
         if rate_cap is not None and rate_cap <= 0:
             raise SimulationError(f"fabric: rate_cap must be positive, got {rate_cap}")
-        now = self.sim.now
+        return self._reserve(
+            self._bind(src, dst), src, dst, nbytes, on_complete, tag, rate_cap
+        )
+
+    def _bind(self, src: Endpoint, dst: Endpoint) -> _Route | None:
+        """The route entry a src -> dst stream sends over, or None for a
+        same-device stream (a no-op, as in the dedicated model, where
+        ``InterconnectSpec.transfer_time`` returns 0.0)."""
         if src == dst and src.gpu_id is not None:
-            # same-device "transfer" is a no-op, as in the dedicated
-            # model (InterconnectSpec.transfer_time returns 0.0)
+            return None
+        return self._route_entry(src, dst)
+
+    def _reserve(
+        self,
+        route: _Route | None,
+        src: Endpoint,
+        dst: Endpoint,
+        nbytes: float,
+        on_complete: Callback | None,
+        tag: str,
+        rate_cap: float | None = None,
+    ) -> float:
+        """Book one flow over a bound ``route``: the single write path of
+        every link's counters."""
+        if nbytes < 0:
+            raise SimulationError(f"fabric: negative transfer size {nbytes}")
+        sim = self.sim
+        now = sim.now
+        if route is None:
             if on_complete is not None:
-                self.sim.schedule_at(now, on_complete)
+                sim.schedule_at(now, on_complete)
             return now
-        path, latency, path_names, bottleneck = self._route_entry(src, dst)
+        path, latency, path_names, bottleneck = route
         if self.rate_scale != 1.0:
             bottleneck *= self.rate_scale
         if rate_cap is not None:
@@ -390,18 +424,48 @@ class Fabric:
         occupy = nbytes / bottleneck
         start = now
         for link in path:
-            free_at = link.free_at
-            if free_at > start:
-                start = free_at
-        self.queue_delay_total += start - now
+            if link._free_at > start:
+                start = link._free_at
+        end = start + occupy
+        queued = start > now
+        obs = sim.obs
         for link in path:
-            link.occupy(start, occupy, nbytes)
-        done = start + occupy + latency
+            free_at = link._free_at
+            if start < free_at - 1e-12:
+                # Only a path that lists a resource twice gets here: its
+                # second hop would double-book the first hop's interval.
+                raise InvariantViolation(
+                    f"{link.name}: overlapping reservation at t={start} "
+                    f"(free at {free_at})"
+                )
+            if free_at > now:
+                link.queue_delay_total += free_at - now
+            pending = link._pending_starts
+            while pending and pending[0] <= now:
+                pending.popleft()
+            if queued:
+                pending.append(start)
+                if len(pending) > link.max_queue_depth:
+                    link.max_queue_depth = len(pending)
+                if start > free_at:
+                    # the link idles until the flow's start while another
+                    # hop holds the flow back
+                    gaps = link._gaps
+                    while gaps and gaps[0][1] <= now:
+                        gaps.popleft()
+                    gaps.append((free_at, start))
+            link._free_at = end
+            link.busy_time += occupy
+            link.bytes_moved += nbytes
+            if obs is not None:
+                obs.channel_span(link.name, start, end, nbytes)
+        self.queue_delay_total += start - now
+        done = end + latency
         self.flows.append(
             Flow(src, dst, nbytes, start, done, path_names, tag, start - now)
         )
         if on_complete is not None:
-            self.sim.schedule_at(done, on_complete)
+            sim.schedule_at(done, on_complete)
         return done
 
     def transfer_gpus(
@@ -502,6 +566,10 @@ class FabricEdge:
     Lets the pipeline engines keep their per-edge bookkeeping
     (``bytes_moved`` feeds cross-node traffic accounting; queue stats
     feed the metrics layer) while the actual capacity is shared.
+
+    The stream binds its route when it is built: every transfer books
+    the bound path directly, with no endpoint hashing or route lookup
+    per flow.  A same-GPU stream binds no route and stays a no-op.
     """
 
     def __init__(self, fabric: Fabric, src: Endpoint, dst: Endpoint, name: str) -> None:
@@ -511,11 +579,14 @@ class FabricEdge:
         self.name = name
         self.bytes_moved = 0.0
         self.transfers_completed = 0
+        self._route = fabric._bind(src, dst)
 
     def transfer(self, nbytes: float, on_complete: Callback | None = None) -> float:
         self.bytes_moved += nbytes
         self.transfers_completed += 1
-        return self.fabric.transfer(self.src, self.dst, nbytes, on_complete, tag=self.name)
+        return self.fabric._reserve(
+            self._route, self.src, self.dst, nbytes, on_complete, self.name
+        )
 
 
 def utilization_report(

@@ -19,7 +19,7 @@ from typing import Callable
 from repro.cluster.topology import Cluster
 from repro.errors import SimulationError
 from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.netsim.fabric import Endpoint, Fabric
+from repro.netsim.fabric import Endpoint, Fabric, FabricEdge
 from repro.sim.engine import Simulator
 from repro.sim.resources import Channel, Processor
 from repro.wsp.placement import StagePlacement
@@ -83,6 +83,9 @@ class ParameterServerSim:
         # (vw, stage, direction, "k{slot}") sharded; the two shapes never
         # coexist in one PS instance.
         self._channels: dict[tuple[int, int, str, object], Channel] = {}
+        #: fabric mode's streams, keyed (vw, stage, direction, shard
+        #: slot, src node, dst node)
+        self._fabric_streams: dict[tuple, FabricEdge] = {}
         # Pushes from one worker apply strictly in wave order; when the
         # pipeline races ahead (D > 0) later waves queue here until the
         # previous push is fully recorded.
@@ -146,8 +149,9 @@ class ParameterServerSim:
 
         Dedicated mode uses the per-stream channels above (one per shard
         slot when sharded, so a stage's K shards move in parallel);
-        shared mode routes one flow over the fabric, contending with
-        every other transfer crossing the same lanes, switches, and NICs.
+        shared mode sends one flow over a memoized fabric stream
+        (:meth:`_fabric_stream`), contending with every other transfer
+        crossing the same lanes, switches, and NICs.
 
         Under fault injection a send whose PS endpoint (or whose worker
         node) is down does not start: it retries with exponential backoff
@@ -180,17 +184,31 @@ class ParameterServerSim:
             if _attempt > 0:
                 faults.send_resolved()
         if self.fabric is not None:
+            stream = self._fabric_stream(vw_index, stage, direction, src_node, dst_node, shard)
+        else:
+            stream = self._stream(vw_index, stage, direction, dst_node != src_node, shard)
+        stream.transfer(nbytes, on_complete)
+
+    def _fabric_stream(
+        self, vw_index: int, stage: int, direction: str, src_node: int,
+        dst_node: int, shard: int | None,
+    ) -> FabricEdge:
+        """Fabric mode's counterpart of :meth:`_stream`: one memoized
+        flow stream per (worker, stage, direction, shard slot) and pair
+        of host endpoints, with its route bound.  The endpoints are the
+        ones after fault redirection, so a failover gets a new stream
+        over the new route."""
+        key = (vw_index, stage, direction, shard, src_node, dst_node)
+        stream = self._fabric_streams.get(key)
+        if stream is None:
             slot = "" if shard is None else f".k{shard}"
-            self.fabric.transfer(
+            stream = self.fabric.edge(
                 Endpoint.host(src_node),
                 Endpoint.host(dst_node),
-                nbytes,
-                on_complete,
-                tag=f"ps.vw{vw_index}.s{stage}{slot}.{direction}",
+                f"ps.vw{vw_index}.s{stage}{slot}.{direction}",
             )
-            return
-        stream = self._stream(vw_index, stage, direction, dst_node != src_node, shard)
-        stream.transfer(nbytes, on_complete)
+            self._fabric_streams[key] = stream
+        return stream
 
     def _applier(self, shard_node: int, shard: int | None) -> Processor:
         """The apply queue for one destination: per node unsharded, per

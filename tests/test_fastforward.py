@@ -359,3 +359,29 @@ class TestPipelineFastForward:
         )
         assert metrics.measured_minibatches == 400
         assert 0.0 < metrics.max_utilization <= 1.0
+
+
+class TestKnownLongHorizonFaults:
+    """Reproducers of the fast-forward faults that show from
+    ``--waves-scale 2`` on.  Strict xfails: a fix turns them red until
+    the marker is removed, so each fix lands with its reproducer."""
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="coalesced run reports staleness.max_missing 8 where the full run has 5",
+    )
+    def test_seed_128_is_equivalent_at_waves_scale_2(self):
+        from repro.scenarios.runner import run_fuzz
+
+        report = run_fuzz([128], fidelity="fast_forward", waves_scale=2)
+        assert [f.violations for f in report.failures] == []
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="coalesced run quiesces at global version 10 before reaching 11",
+    )
+    def test_seed_330_reaches_its_target_at_waves_scale_2(self):
+        from repro.scenarios.runner import run_fuzz
+
+        report = run_fuzz([330], fidelity="fast_forward", waves_scale=2)
+        assert [f.violations for f in report.failures] == []

@@ -17,7 +17,6 @@ from repro.netsim import (
     Endpoint,
     Fabric,
     FabricSpec,
-    SharedLink,
     utilization_report,
 )
 from repro.parallel import (
@@ -151,7 +150,8 @@ class TestSharing:
 
 class _ReferenceLink:
     """Brute-force SharedLink accounting: prunes by filtering every
-    pending start instead of popping expired ones off the head."""
+    pending start instead of popping expired ones off the head, and
+    keeps every service interval so utilization is a plain sum."""
 
     def __init__(self) -> None:
         self.free_at = 0.0
@@ -160,6 +160,7 @@ class _ReferenceLink:
         self.queue_delay_total = 0.0
         self.max_queue_depth = 0
         self.pending: list[float] = []
+        self.intervals: list[tuple[float, float]] = []
 
     def occupy(self, now: float, start: float, duration: float, nbytes: float) -> None:
         self.queue_delay_total += max(0.0, min(self.free_at, start) - now)
@@ -170,18 +171,42 @@ class _ReferenceLink:
         self.free_at = start + duration
         self.busy_time += duration
         self.bytes_moved += nbytes
+        self.intervals.append((start, start + duration))
+
+    def utilization(self, elapsed: float) -> float:
+        busy = sum(min(end, elapsed) - start for start, end in self.intervals if start < elapsed)
+        return busy / elapsed if elapsed > 0 else 0.0
 
 
 _CONGESTED = FabricSpec(pcie_lane_scale=0.5, nic_scale=0.25, ib_fabric_scale=0.5)
 
 
+def _busy_from_flow_log(fabric, link, elapsed):
+    """Occupancy of ``link`` within ``[0, elapsed)``, summed from the
+    fabric's flow log (a flow holds each hop for ``done - latency -
+    start``)."""
+    busy = 0.0
+    for flow in fabric.flows:
+        if link.name in flow.path and flow.start < elapsed:
+            _, latency = fabric.route(flow.src, flow.dst)
+            busy += min(flow.done - latency, elapsed) - flow.start
+    return busy
+
+
 class TestSharedLinkAccounting:
-    def test_overlapping_occupy_raises(self):
-        sim = Simulator()
-        link = SharedLink(sim, 1e9, "nic.test", "nic")
-        link.occupy(0.0, 1.0, 1e9)
-        with pytest.raises(InvariantViolation, match="overlapping reservation"):
-            link.occupy(0.5, 1.0, 1e9)
+    def test_overlapping_occupy_raises(self, monkeypatch):
+        # Routes list each resource once; a path that listed one twice
+        # (here: same-node host -> host without the de-duplication)
+        # would book its second hop over its first, which the single
+        # reservation loop reports as double-booked capacity.
+        _, _, fabric = _fabric()
+
+        def undeduplicated(src, dst):
+            return [fabric.host_lane[0], fabric.pcie_switch[0], fabric.host_lane[0]], 0.0
+
+        monkeypatch.setattr(fabric, "_compute_route", undeduplicated)
+        with pytest.raises(InvariantViolation, match="host.n0: overlapping reservation"):
+            fabric.transfer(Endpoint.host(0), Endpoint.host(0), 1e6)
 
     def test_stacked_flows_queue_delay_and_depth(self):
         sim, cluster, fabric = _fabric()
@@ -219,15 +244,31 @@ class TestSharedLinkAccounting:
         ),
     )
     def test_property_matches_brute_force_reference(self, spec, flows):
+        from repro.wsp.parameter_server import ParameterServerSim
+
         sim, cluster, fabric = _fabric(spec=spec)
         endpoints = [Endpoint.gpu(gpu) for gpu in cluster.gpus]
         endpoints += [Endpoint.host(node.node_id) for node in cluster.nodes]
         assert len(endpoints) == 6
         refs = {link.name: _ReferenceLink() for link in fabric.links()}
+        # Half the flows are one-off Fabric.transfer calls; the other
+        # half go through streams that bound their route when built:
+        # FabricEdges, and the PS's fabric sends (host to host).
+        edges = {}
+        ps = ParameterServerSim(sim, cluster, 1, fabric=fabric)
 
-        def submit(src: Endpoint, dst: Endpoint, nbytes: float) -> None:
+        def submit(i: int, src: Endpoint, dst: Endpoint, nbytes: float) -> None:
             now = sim.now
-            fabric.transfer(src, dst, nbytes)
+            if i % 2 == 0:
+                fabric.transfer(src, dst, nbytes)
+            elif i % 4 == 1:
+                edge = edges.get((src, dst))
+                if edge is None:
+                    edge = edges[(src, dst)] = fabric.edge(src, dst, f"edge{len(edges)}")
+                edge.transfer(nbytes)
+            else:
+                src, dst = Endpoint.host(src.node_id), Endpoint.host(dst.node_id)
+                ps.pull(0, [(dst.node_id, [(src.node_id, nbytes)])], lambda _: None)
             if src != dst or src.gpu_id is None:
                 path, _ = fabric.route(src, dst)
                 occupy = nbytes / min(link.bandwidth for link in path)
@@ -239,12 +280,15 @@ class TestSharedLinkAccounting:
                 assert starts == sorted(starts), link.name
                 ref = refs[link.name]
                 assert link.queue_depth == sum(1 for t in ref.pending if t > now)
+                assert link.utilization() == pytest.approx(
+                    ref.utilization(now), rel=1e-9, abs=1e-12
+                ), link.name
 
         t = 0.0
-        for gap, src, dst, nbytes in flows:
+        for i, (gap, src, dst, nbytes) in enumerate(flows):
             t += gap
             sim.schedule_at(
-                t, lambda s=endpoints[src], d=endpoints[dst], n=nbytes: submit(s, d, n)
+                t, lambda i=i, s=endpoints[src], d=endpoints[dst], n=nbytes: submit(i, s, d, n)
             )
         sim.run()
         fabric.verify()
@@ -255,8 +299,67 @@ class TestSharedLinkAccounting:
             assert link.bytes_moved == ref.bytes_moved, link.name
             assert link.queue_delay_total == ref.queue_delay_total, link.name
             assert link.max_queue_depth == ref.max_queue_depth, link.name
+        assert ps.sync_bytes_total == sum(
+            f.nbytes for f in fabric.flows if f.tag.startswith("ps.")
+        )
 
 
+class TestUtilizationClip:
+    def test_idle_gap_past_elapsed_is_not_subtracted(self):
+        """A lane that served [0, 1) and holds [10, 11) was busy for 1 s
+        of the first 5: utilization(5) is 0.2, not 0."""
+        sim, cluster, fabric = _fabric()
+        bw = cluster.interconnect.pcie_effective
+        lane = fabric.pcie_lane[0]
+        fabric.transfer_gpus(0, 1, bw * 1.0)  # lane gpu0: [0, 1)
+        # host lane + switch of node 0: the switch is free from 1 on,
+        # so this holds it over [1, 10)
+        fabric.transfer(Endpoint.host(0), Endpoint.host(0), bw * 9.0)
+        # waits for the switch: lane gpu0 idles over [1, 10)
+        fabric.transfer_gpus(0, 1, bw * 1.0)
+        assert lane.busy_time == pytest.approx(2.0)
+        assert lane.free_at == pytest.approx(11.0)
+        seen = []
+        sim.schedule_at(5.0, lambda: seen.append(lane.utilization()))
+        sim.run()
+        assert seen == [pytest.approx(0.2)]
+        assert lane.utilization(5.0) == pytest.approx(0.2)  # any elapsed >= booking
+
+    def test_congested_multi_hop_matches_flow_log(self):
+        sim, cluster, fabric = _fabric("VRG", spec=_CONGESTED)
+        gpus = len(cluster.gpus)
+        checks = []
+
+        def check() -> None:
+            now = sim.now
+            ahead = 0
+            for link in fabric.links():
+                if link.free_at > now:
+                    ahead += 1
+                exact = _busy_from_flow_log(fabric, link, now) / now
+                assert link.utilization() == pytest.approx(exact, rel=1e-9, abs=1e-12), link.name
+            checks.append(ahead)
+
+        t = 0.0
+        for i in range(60):
+            src, dst = (7 * i) % gpus, (5 * i + 3) % gpus
+            nbytes = 2e5 * (1 + i % 4)
+            sim.schedule_at(t, lambda s=src, d=dst, n=nbytes: fabric.transfer_gpus(s, d, n))
+            if i % 2:
+                node_a, node_b = i % 3, (i + 1) % 3
+                sim.schedule_at(
+                    t,
+                    lambda a=node_a, b=node_b, n=nbytes: fabric.transfer(
+                        Endpoint.host(a), Endpoint.host(b), n
+                    ),
+                )
+            if i % 10 == 9:
+                sim.schedule_at(t, check)
+            t += 2e-4
+        sim.run()
+        check()
+        # the checks ran while reservations were still booked ahead
+        assert any(checks[:-1])
 class TestVerification:
     def test_verify_passes_on_clean_run(self):
         sim, _, fabric = _fabric()
