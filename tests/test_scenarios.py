@@ -238,3 +238,47 @@ class TestOneFOneBGolden:
         violations = []
         assert _check_1f1b(generate_scenario(seed), violations, fidelity) == expected
         assert violations == []
+
+
+class TestFuzzModeGolden:
+    """Golden pin of a ten-seed ``run_fuzz`` batch in each fuzz mode:
+    sha256 over the verbose per-scenario lines plus the summary.  Each
+    mode lays its knobs over the same seeded scenarios, so any drift in
+    how a mode reaches the runner (network, fidelity, window scale,
+    shards, variant, fault schedule) moves one of these.  The shared
+    faulted mode at ``waves_scale=4`` guards the horizon twin's target
+    version, which must come from the main run's scaled window."""
+
+    @pytest.mark.parametrize(
+        ("options", "expected"),
+        [
+            ({}, "ad0c49b2c1824190ac69290cab5868244bebda9be0eac658abfd3f9776a4c2c4"),
+            ({"network_model": "shared"}, "e17182709dea6039bd82bc89f35225d917cf5e53eaa40297b2c412e82aff7fbb"),
+            ({"faults": True}, "e93cf8f2f9a408519572b2e47174a9d749bda3c537785dacfe89d115f15af866"),
+            (
+                {"network_model": "shared", "faults": True},
+                "47c73c7d2c09cfe7165a91f7cdd4780c7ba18b82843620ec43c63a0dde2341b2",
+            ),
+            (
+                {"network_model": "shared", "faults": True, "waves_scale": 4},
+                "46aba6e1806ada206b4fd8d56995026a8f0a944de855cddd7e0d02d22814292a",
+            ),
+            (
+                {"fidelity": "fast_forward", "waves_scale": 4},
+                "eb1a82fd40970fd57831a17e37e7827ccb4ac0356d1f54ffa6b586b21c8ce71e",
+            ),
+            (
+                {"network_model": "shared", "shards": 4, "shard_placement": "contention_aware"},
+                "a0c974015058a3031b79862918d2433d853c0447c1ad0743c638a02753a8eecf",
+            ),
+            ({"variant": "pipedream_2bw"}, "44e539886cea12726bebf781fb48f52a1433ee9abe0d950db0525dfa7149c033"),
+        ],
+    )
+    def test_fuzz_output_is_pinned(self, options, expected):
+        import hashlib
+
+        lines: list[str] = []
+        report = run_fuzz(range(10), verbose_log=lines.append, **options)
+        lines.append(report.summary())
+        assert not report.failures
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == expected
