@@ -8,7 +8,7 @@ what the invariant oracles cost on top of an unchecked run.
 from conftest import run_once
 
 from repro.experiments.report import format_table
-from repro.scenarios import generate_scenario, run_fuzz
+from repro.scenarios import describe_run, generate_scenario, run_fuzz
 from repro.sim.invariants import default_oracles
 from repro.sim.trace import Trace
 from repro.wsp.runtime import HetPipeRuntime
@@ -21,7 +21,7 @@ def test_bench_fuzz_batch(benchmark, show):
     rows = [
         (
             result.spec.seed,
-            result.spec.describe().split(" ", 1)[1],
+            describe_run(result.spec).split(" ", 1)[1],
             f"{result.throughput:.0f}",
             result.events,
             "ok" if result.ok else "FAIL",
@@ -66,7 +66,7 @@ def test_bench_oracle_overhead(benchmark, show):
         format_table(
             ["mode", "events"],
             [("unchecked", events_plain), ("oracle-checked", events_checked)],
-            title=f"oracle overhead — {spec.describe()}",
+            title=f"oracle overhead — {describe_run(spec.to_run_spec())}",
         )
     )
     # The oracles observe; they must not change the event sequence.

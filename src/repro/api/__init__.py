@@ -15,7 +15,8 @@ network model x fidelity), serializes to canonical JSON with a stable
   presets, calibrations, interconnect profiles, oracle suites,
   planners, experiments); unknown names raise
   :class:`~repro.errors.UnknownNameError` listing what exists.
-* :mod:`repro.api.build` — spec -> built cluster/model/plans.
+* :mod:`repro.api.build` — spec -> built cluster/model/plans (a
+  :class:`~repro.api.build.Deployment`).
 * :mod:`repro.api.run` — :func:`~repro.api.run.run` /
   :func:`~repro.api.run.run_sweep`, the engines behind ``repro run``
   and ``repro sweep``.
@@ -53,11 +54,11 @@ _EXPORTS = {
     "PLANNERS": "repro.api.registry",
     "PROFILES": "repro.api.registry",
     "Registry": "repro.api.registry",
+    "Deployment": "repro.api.build",
     "build_calibration": "repro.api.build",
     "build_cluster": "repro.api.build",
     "build_model": "repro.api.build",
     "build_scenario": "repro.api.build",
-    "run_to_scenario_spec": "repro.api.build",
     "SweepPointResult": "repro.api.run",
     "SweepResult": "repro.api.run",
     "run": "repro.api.run",
@@ -84,11 +85,11 @@ def __dir__() -> list[str]:
 
 if TYPE_CHECKING:  # static analyzers see the eager imports
     from repro.api.build import (
+        Deployment,
         build_calibration,
         build_cluster,
         build_model,
         build_scenario,
-        run_to_scenario_spec,
     )
     from repro.api.registry import (
         CALIBRATIONS,

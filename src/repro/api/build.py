@@ -8,61 +8,35 @@ the inputs planning reads, so every run that shares a deployment — a
 fuzz seed's Nm descent, its main run and twins, a sweep over fidelity,
 seeds or windows — shares one set of (immutable) built objects.
 
-:func:`build_scenario` (a scenario-kind :class:`RunSpec`) and the fuzz
-generator's :func:`~repro.scenarios.generator.materialize` (a
-:class:`~repro.scenarios.generator.ScenarioSpec`) are thin adapters
-over it, each wrapping the shared objects in a
-:class:`~repro.scenarios.generator.Scenario` with its own spec view.
+:func:`build_scenario` is its entry point for a scenario-kind
+:class:`RunSpec` and returns the built :class:`Deployment` as is: the
+runner reads every knob from the RunSpec itself, so no second spec view
+travels with the objects.  The fuzz generator's Nm descent
+(:func:`~repro.scenarios.generator.materialize`) calls
+:func:`build_plans` directly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.api.registry import CALIBRATIONS, MODELS, PLANNERS, PROFILES
 from repro.api.spec import ClusterSpec, ModelSpec, RunSpec
 from repro.errors import PartitionError, SpecError
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.topology import Cluster
+    from repro.models.graph import ModelGraph
+    from repro.partition import PartitionPlan
 
-def run_to_scenario_spec(run: RunSpec):
-    """The :class:`ScenarioSpec` view of a scenario-kind ``run``.
 
-    Knobs map one-to-one; ``fidelity.waves_scale`` is folded into
-    ``measured_waves`` (the scenario runner's long-horizon convention).
-    Catalog models have no synthetic knobs, so their view carries
-    ``batch_size=0`` and empty layer tuples — the runner takes the real
-    batch size from the built model graph.
-    """
-    from repro.scenarios.generator import ScenarioSpec
+class Deployment(NamedTuple):
+    """The built objects of one deployment (shared and immutable)."""
 
-    if run.kind != "scenario":
-        raise SpecError(f"expected a scenario spec, got kind={run.kind!r}")
-    if run.pipeline.nm is None:
-        raise SpecError("a scenario run needs a concrete pipeline.nm")
-    model = run.model
-    assert model is not None  # enforced by RunSpec validation
-    return ScenarioSpec(
-        seed=run.seed,
-        node_codes=run.cluster.node_codes,
-        gpus_per_node=run.cluster.gpus_per_node,
-        allocation=run.pipeline.allocation,
-        batch_size=model.batch_size if model.is_synthetic else 0,
-        image_size=model.image_size if model.is_synthetic else 0,
-        conv_widths=model.conv_widths,
-        fc_dims=model.fc_dims,
-        nm=run.pipeline.nm,
-        d=run.pipeline.d,
-        placement=run.pipeline.placement,
-        jitter=run.pipeline.jitter,
-        push_every_minibatch=run.pipeline.push_every_minibatch,
-        warmup_waves=run.pipeline.warmup_waves,
-        measured_waves=run.pipeline.measured_waves * run.fidelity.waves_scale,
-        network_model=run.network.model,
-        shards=run.pipeline.shards,
-        shard_placement=run.pipeline.shard_placement,
-        variant=run.pipeline.variant,
-        memory_limited=run.pipeline.memory_limited,
-    )
+    cluster: Cluster
+    model: ModelGraph
+    plans: tuple[PartitionPlan, ...]
 
 
 def build_cluster(spec: ClusterSpec):
@@ -99,7 +73,7 @@ def build_plans(
     placement: str,
     memory_variant: str | None,
 ):
-    """``(cluster, model, plans)`` for one deployment — the one build path.
+    """The :class:`Deployment` of one configuration — the one build path.
 
     The arguments are exactly what planning reads: ``placement`` gates
     :func:`~repro.wsp.placement.validate_local_placement`, and
@@ -138,10 +112,10 @@ def build_plans(
     )
     if placement == "local":
         validate_local_placement(plans)
-    return cluster, model, plans
+    return Deployment(cluster, model, plans)
 
 
-def build_scenario(run: RunSpec):
+def build_scenario(run: RunSpec) -> Deployment:
     """Cluster + model + per-VW plans for a scenario-kind ``run``.
 
     Deterministic and memoized through :func:`build_plans`; the same
@@ -151,12 +125,13 @@ def build_scenario(run: RunSpec):
     deployments (a :class:`~repro.errors.SpecError` naming the ways out
     for memory-limited ones).
     """
-    from repro.scenarios.generator import Scenario
-
-    spec = run_to_scenario_spec(run)
+    if run.kind != "scenario":
+        raise SpecError(f"expected a scenario spec, got kind={run.kind!r}")
     pipeline = run.pipeline
+    if pipeline.nm is None:
+        raise SpecError("a scenario run needs a concrete pipeline.nm")
     try:
-        cluster, model, plans = build_plans(
+        return build_plans(
             run.cluster, run.model, run.calibration, pipeline.allocation,
             pipeline.nm, pipeline.planner, pipeline.placement,
             pipeline.variant if pipeline.memory_limited else None,
@@ -165,7 +140,6 @@ def build_scenario(run: RunSpec):
         if pipeline.memory_limited:
             raise _memory_limited_error(run, exc) from exc
         raise
-    return Scenario(spec=spec, cluster=cluster, model=model, plans=plans)
 
 
 def _memory_limited_error(run: RunSpec, exc: PartitionError) -> SpecError:

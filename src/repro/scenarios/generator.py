@@ -9,10 +9,12 @@ per-minibatch-push ablation).  Generation is driven entirely by one
 and — because the simulator itself is deterministic — the entire run,
 down to the trace digest.
 
-The split between :class:`ScenarioSpec` (a frozen, replayable value
-object) and :func:`materialize` (spec -> built objects, through the one
-memoized :func:`repro.api.build.build_plans`) means a failing seed can
-be re-run bit-identically from just its spec.
+A :class:`ScenarioSpec` holds exactly the knobs a seed draws;
+:func:`materialize` builds one through the one memoized
+:func:`repro.api.build.build_plans` during the feasibility repair, and
+:meth:`ScenarioSpec.to_run_spec` lifts the final draw into the typed
+:class:`~repro.api.spec.RunSpec` — the only description the runner
+reads, and the form a failing seed is replayed from bit for bit.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ import random
 from dataclasses import dataclass, replace
 
 from repro.api.build import build_plans
-from repro.api.spec import (
-    ClusterSpec,
-    FidelitySpec,
-    ModelSpec,
-    NetworkSpec,
-    PipelineSpec,
-    RunSpec,
-)
+from repro.api.spec import ClusterSpec, ModelSpec, PipelineSpec, RunSpec
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError, PartitionError
 from repro.netsim.fabric import FabricSpec
@@ -70,23 +65,6 @@ class ScenarioSpec:
     # measurement window (global waves)
     warmup_waves: int
     measured_waves: int
-    #: "dedicated" (historical private links; the default keeps seed
-    #: digests bit-identical) or "shared" (contention-aware fabric with a
-    #: congested topology drawn deterministically from the seed)
-    network_model: str = "dedicated"
-    #: PS shard slots per stage; the generator never draws shards (the
-    #: seed -> scenario mapping and digests stay frozen) — overrides come
-    #: from ``repro fuzz --shards`` or a spec's pipeline section
-    shards: int = 1
-    shard_placement: str = "size_balanced"
-    #: pipeline-variant semantics (see :mod:`repro.pipeline.variants`);
-    #: the generator never draws a variant — overrides come from
-    #: ``repro fuzz --variant`` or a spec's pipeline section, so every
-    #: seed's default scenario (and digest) stays frozen
-    variant: str = "vw_hetpipe"
-    #: enforce per-GPU capacity in planning with the variant's
-    #: weight-version accounting (never drawn; spec-only)
-    memory_limited: bool = False
 
     def _cluster_and_model(self) -> tuple[ClusterSpec, ModelSpec]:
         """The typed cluster and model sections this scenario builds
@@ -102,20 +80,13 @@ class ScenarioSpec:
             ),
         )
 
-    def to_run_spec(
-        self,
-        fidelity: str = "full",
-        verify_equivalence: bool | None = None,
-        waves_scale: int = 1,
-    ) -> RunSpec:
-        """Lift this scenario into the typed API's :class:`RunSpec`.
+    def to_run_spec(self) -> RunSpec:
+        """Lift this draw into the typed API's :class:`RunSpec`.
 
-        The RunSpec is the canonical interchange form: the runner
-        reconstructs an identical ``ScenarioSpec`` from it (see
-        :func:`repro.api.build.run_to_scenario_spec`), so a seed's run —
-        digest included — is fully described by the RunSpec.
-        ``waves_scale`` moves into the fidelity section, so
-        ``measured_waves`` must be the unscaled window.
+        The RunSpec is the only scenario description past the
+        generator: the runner reads every knob from it, and a fuzz mode
+        (network, fidelity, shards, variant, faults) is laid over it, so
+        a seed's run — digest included — is fully described by it.
         """
         cluster, model = self._cluster_and_model()
         return RunSpec(
@@ -128,38 +99,11 @@ class ScenarioSpec:
                 d=self.d,
                 allocation=self.allocation,
                 placement=self.placement,
-                shards=self.shards,
-                shard_placement=self.shard_placement,
-                variant=self.variant,
-                memory_limited=self.memory_limited,
                 push_every_minibatch=self.push_every_minibatch,
                 jitter=self.jitter,
                 warmup_waves=self.warmup_waves,
                 measured_waves=self.measured_waves,
             ),
-            network=NetworkSpec(model=self.network_model),
-            fidelity=FidelitySpec(
-                fidelity=fidelity,
-                verify_equivalence=verify_equivalence,
-                waves_scale=waves_scale,
-            ),
-        )
-
-    def describe(self) -> str:
-        return (
-            f"seed={self.seed} cluster={self.node_codes}x{self.gpus_per_node} "
-            f"alloc={self.allocation} layers={len(self.conv_widths)}c+{len(self.fc_dims)}f "
-            f"Nm={self.nm} D={self.d} place={self.placement} jitter={self.jitter} "
-            f"{'push/mb ' if self.push_every_minibatch else ''}"
-            f"waves={self.warmup_waves}+{self.measured_waves}"
-            # appended only for shared runs so dedicated output is
-            # byte-identical to the pre-netsim harness
-            f"{' net=shared' if self.network_model == 'shared' else ''}"
-            # likewise only for sharded-PS runs
-            f"{f' shards={self.shards}:{self.shard_placement}' if self.shards > 1 else ''}"
-            # and only for non-default pipeline variants
-            f"{f' variant={self.variant}' if self.variant != 'vw_hetpipe' else ''}"
-            f"{' memcap' if self.memory_limited else ''}"
         )
 
 
@@ -229,8 +173,7 @@ def materialize(spec: ScenarioSpec) -> Scenario:
     """
     cluster, model, plans = build_plans(
         *spec._cluster_and_model(),
-        "default", spec.allocation, spec.nm, "dp", spec.placement,
-        spec.variant if spec.memory_limited else None,
+        "default", spec.allocation, spec.nm, "dp", spec.placement, None,
     )
     return Scenario(spec=spec, cluster=cluster, model=model, plans=plans)
 
@@ -290,6 +233,11 @@ def _draw_candidate(rng: random.Random, seed: int) -> ScenarioSpec:
     )
 
 
+def draw_scenario_spec(seed: int) -> ScenarioSpec:
+    """The seed's first draw, before any feasibility repair."""
+    return _draw_candidate(random.Random(seed), seed)
+
+
 def _shrunk(spec: ScenarioSpec) -> ScenarioSpec:
     """Deterministically halve the model so it fits smaller GPU sets."""
     return replace(
@@ -300,12 +248,9 @@ def _shrunk(spec: ScenarioSpec) -> ScenarioSpec:
     )
 
 
-def generate_run_spec(seed: int):
-    """The typed :class:`~repro.api.spec.RunSpec` for ``seed``.
-
-    Same draw-and-repair procedure as :func:`generate_scenario` (the
-    materialized objects are shared through the same memoization), but
-    the emitted value is the declarative API form — serializable,
+def generate_run_spec(seed: int) -> RunSpec:
+    """The typed :class:`~repro.api.spec.RunSpec` for ``seed``: the
+    draw of :func:`generate_scenario`, lifted once — serializable,
     hashable (``spec_hash``), and runnable via ``repro run``.
     """
     return generate_scenario(seed).spec.to_run_spec()

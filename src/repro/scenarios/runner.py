@@ -37,20 +37,19 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
-from repro.api.build import build_scenario
-from repro.api.spec import SPEC_SCHEMA, FidelitySpec, RunSpec
+from repro.api.build import Deployment, build_scenario
+from repro.api.spec import SPEC_SCHEMA, FidelitySpec, NetworkSpec, PipelineSpec, RunSpec
 from repro.errors import InvariantViolation, ReproError, SimulationError, SpecError
 from repro.netsim.fabric import DEFAULT_FABRIC_SPEC, FabricSpec
 from repro.pipeline.one_f_one_b import OneFOneBPipeline
 from repro.scenarios.generator import (
-    Scenario,
-    ScenarioSpec,
     congested_fabric_spec,
-    generate_scenario,
+    draw_scenario_spec,
+    generate_run_spec,
 )
 from repro.sim.engine import Simulator
 from repro.sim.equivalence import compare_fingerprints, semantic_fingerprint
-from repro.sim.fastforward import run_pipeline_fast_forward, validate_fidelity
+from repro.sim.fastforward import run_pipeline_fast_forward
 from repro.sim.invariants import OneFOneBOracle, StalenessOracle
 from repro.sim.trace import Trace
 from repro.training.envelopes import (
@@ -81,11 +80,36 @@ _SNAPSHOT_FLOWS = 32
 logger = logging.getLogger(__name__)
 
 
+def _measured_waves(run: RunSpec) -> int:
+    """The measured window in global waves: the spec's window stretched
+    by ``fidelity.waves_scale`` (the long-horizon knob)."""
+    return run.pipeline.measured_waves * run.fidelity.waves_scale
+
+
+def describe_run(run: RunSpec) -> str:
+    """One line naming a scenario run's deployment and knobs."""
+    cluster, model, pipe = run.cluster, run.model, run.pipeline
+    return (
+        f"seed={run.seed} cluster={cluster.node_codes}x{cluster.gpus_per_node} "
+        f"alloc={pipe.allocation} layers={len(model.conv_widths)}c+{len(model.fc_dims)}f "
+        f"Nm={pipe.nm} D={pipe.d} place={pipe.placement} jitter={pipe.jitter} "
+        f"{'push/mb ' if pipe.push_every_minibatch else ''}"
+        f"waves={pipe.warmup_waves}+{_measured_waves(run)}"
+        # each suffix appears only off its default, so the default
+        # dedicated line stays byte-identical to the historical harness
+        f"{' net=shared' if run.network.model == 'shared' else ''}"
+        f"{f' shards={pipe.shards}:{pipe.shard_placement}' if pipe.shards > 1 else ''}"
+        f"{f' variant={pipe.variant}' if pipe.variant != 'vw_hetpipe' else ''}"
+        f"{' memcap' if pipe.memory_limited else ''}"
+    )
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """Outcome of one fuzzed scenario."""
 
-    spec: ScenarioSpec
+    #: the exact spec the scenario ran under
+    spec: RunSpec
     digest: str
     violations: tuple[str, ...]
     throughput: float  # images/s over the measured window
@@ -97,8 +121,6 @@ class ScenarioResult:
     #: makespan of the dedicated-network twin run (shared scenarios only;
     #: the contention oracle requires makespan >= dedicated_makespan)
     dedicated_makespan: float = 0.0
-    #: fidelity the scenario ran under ("full" or "fast_forward")
-    fidelity: str = "full"
     #: heap events actually dispatched (main runtime + 1F1B cross-check;
     #: the equivalence twin's events are verification overhead, not the
     #: scenario's cost, and are excluded)
@@ -124,10 +146,15 @@ class ScenarioResult:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def fidelity(self) -> str:
+        """The fidelity the scenario ran under ("full" or "fast_forward")."""
+        return self.spec.fidelity.fidelity
+
     def describe(self) -> str:
         status = "ok" if self.ok else f"FAIL({len(self.violations)})"
         line = (
-            f"[{status:>8}] {self.spec.describe()} "
+            f"[{status:>8}] {describe_run(self.spec)} "
             f"-> {self.throughput:8.1f} img/s, {self.events} events, "
             f"digest {self.digest[:12]}"
         )
@@ -138,7 +165,9 @@ class ScenarioResult:
         return line
 
 
-def _sync_time_bound(scenario: Scenario, runtime: HetPipeRuntime, vw: int) -> float:
+def _sync_time_bound(
+    built: Deployment, runtime: HetPipeRuntime, vw: int, push_mult: int
+) -> float:
     """Serialized per-wave channel time for ``vw``: PS push+pull plus the
     pipeline's own inter-stage activation/gradient transfers.
 
@@ -147,10 +176,9 @@ def _sync_time_bound(scenario: Scenario, runtime: HetPipeRuntime, vw: int) -> fl
     links; folding those transfers in keeps the window bound a true
     worst case even for communication-dominated scenarios.
     """
-    ic = scenario.cluster.interconnect
-    plan = scenario.plans[vw]
+    ic = built.cluster.interconnect
+    plan = built.plans[vw]
     placement = runtime.placements[vw]
-    push_mult = scenario.spec.nm if scenario.spec.push_every_minibatch else 1
     total = 0.0
     for stage, dests in zip(plan.stages, placement):
         src = stage.gpu.node_id
@@ -167,14 +195,13 @@ def _sync_time_bound(scenario: Scenario, runtime: HetPipeRuntime, vw: int) -> fl
     return total
 
 
-def _apply_time_bound(scenario: Scenario, runtime: HetPipeRuntime) -> float:
+def _apply_time_bound(runtime: HetPipeRuntime, push_mult: int) -> float:
     """Serialized shard-apply cost of one wave from *every* worker.
 
     Apply processors are shared PS-side, so in the worst case all
     workers' applies queue behind each other.
     """
     rate = runtime.calibration.ps_apply_bandwidth
-    push_mult = scenario.spec.nm if scenario.spec.push_every_minibatch else 1
     total = 0.0
     for placement in runtime.placements:
         for dests in placement:
@@ -184,32 +211,37 @@ def _apply_time_bound(scenario: Scenario, runtime: HetPipeRuntime) -> float:
 
 
 def _check_bounds(
-    scenario: Scenario,
+    built: Deployment,
+    run: RunSpec,
     runtime: HetPipeRuntime,
     window: float,
     completions: Sequence[int],
     violations: list[str],
     fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
 ) -> None:
-    spec = scenario.spec
-    low, high = wsp_completion_bounds(spec.nm, spec.d, spec.measured_waves)
-    for vw, (plan, done) in enumerate(zip(scenario.plans, completions)):
+    pipe = run.pipeline
+    measured = _measured_waves(run)
+    low, high = wsp_completion_bounds(pipe.nm, pipe.d, measured)
+    for vw, (plan, done) in enumerate(zip(built.plans, completions)):
         if not low <= done <= high:
             violations.append(
                 f"differential: vw{vw} completed {done} minibatches in a "
-                f"{spec.measured_waves}-wave window, outside [{low}, {high}]"
+                f"{measured}-wave window, outside [{low}, {high}]"
             )
-        ceiling = window * pipeline_rate_bound(plan, spec.jitter) + spec.nm + 1
+        ceiling = window * pipeline_rate_bound(plan, pipe.jitter) + pipe.nm + 1
         if done > ceiling:
             violations.append(
                 f"differential: vw{vw} completed {done} minibatches in "
                 f"{window:.6f}s, above the compute ceiling {ceiling:.1f}"
             )
-    apply_bound = _apply_time_bound(scenario, runtime)
+    # pushes per wave: one per minibatch under the per-minibatch ablation
+    push_mult = pipe.nm if pipe.push_every_minibatch else 1
+    apply_bound = _apply_time_bound(runtime, push_mult)
     syncs = [
-        _sync_time_bound(scenario, runtime, vw) for vw in range(len(scenario.plans))
+        _sync_time_bound(built, runtime, vw, push_mult)
+        for vw in range(len(built.plans))
     ]
-    if spec.network_model == "shared":
+    if run.network.model == "shared":
         # On the shared fabric, every worker's transfers can serialize
         # behind every other worker's on the same NIC/switch, and the
         # congested topology runs resources at `min_scale` of the
@@ -218,19 +250,19 @@ def _check_bounds(
         total_sync = sum(syncs) / fabric_spec.min_scale()
         syncs = [total_sync] * len(syncs)
     wave_bound = max(
-        wsp_wave_time_bound(plan, sync, spec.jitter)
-        for plan, sync in zip(scenario.plans, syncs)
+        wsp_wave_time_bound(plan, sync, pipe.jitter)
+        for plan, sync in zip(built.plans, syncs)
     )
-    limit = spec.measured_waves * (wave_bound + apply_bound) * WINDOW_SLACK
+    limit = measured * (wave_bound + apply_bound) * WINDOW_SLACK
     if window > limit:
         violations.append(
-            f"differential: {spec.measured_waves} waves took {window:.6f}s, "
+            f"differential: {measured} waves took {window:.6f}s, "
             f"beyond the serialized worst case {limit:.6f}s (livelock?)"
         )
 
 
 def _check_1f1b(
-    scenario: Scenario, violations: list[str], fidelity: str = "full"
+    built: Deployment, seed: int, violations: list[str], fidelity: str = "full"
 ) -> tuple[str, int, int]:
     """Run the 1F1B variant on plan 0 under its dispatch oracle.
 
@@ -238,15 +270,15 @@ def _check_1f1b(
     1F1B pipeline is deterministic (no jitter), so under the
     fast_forward fidelity its steady-state cycles always coalesce.
     """
-    plan = scenario.plans[0]
+    plan = built.plans[0]
     limit = 3 * plan.nm + 2 * plan.k
     sim = Simulator()
     # Streaming digest: the oracle subscribes live and the replay hash
     # folds in at emit time, so no record is ever stored.
     trace = Trace(enabled=False, digest=True, schema=1 if fidelity == "full" else 2)
     pipeline = OneFOneBPipeline(
-        sim, plan, scenario.cluster.interconnect, limit=limit,
-        name=f"1f1b{scenario.spec.seed}", trace=trace,
+        sim, plan, built.cluster.interconnect, limit=limit,
+        name=f"1f1b{seed}", trace=trace,
     )
     oracle = OneFOneBOracle(pipeline)
     budget = EVENTS_PER_MINIBATCH * limit * plan.k
@@ -268,73 +300,54 @@ def _check_1f1b(
 
 
 def _makespan_only(
-    scenario: Scenario,
+    built: Deployment,
     run: RunSpec,
+    total_waves: int,
     budget: int,
     keep_network: bool = False,
     fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
 ) -> float:
-    """Time for a fault-free twin of ``run`` to reach the target global
-    version (no oracles, no trace — just the clock).
+    """Time for a fault-free twin of ``run`` to reach global version
+    ``total_waves - 1`` (no oracles, no trace — just the clock).
+
+    The twin resets ``fidelity`` (and with it ``waves_scale``), so its
+    target comes from the main run's window, passed in as
+    ``total_waves``, not from the twin's own spec.
 
     By default the twin runs on the dedicated network (the contention
     oracle's reference); with ``keep_network`` it keeps the run's own
     network model, which is the fault-injection baseline — the horizon
     fault fractions scale by and the degradation oracle's yardstick.
     """
-    spec = scenario.spec
     twin = replace(
         run,
         network=run.network if keep_network else replace(run.network, model="dedicated"),
         fidelity=FidelitySpec(),
         faults=None,
     )
-    runtime = HetPipeRuntime.from_spec(
-        twin,
-        cluster=scenario.cluster,
-        model=scenario.model,
-        plans=list(scenario.plans),
-        fabric_spec=fabric_spec,
-    )
+    runtime = _build_runtime(built, twin, fabric_spec=fabric_spec)
     runtime.start()
-    runtime.run_until_global_version(
-        spec.warmup_waves + spec.measured_waves - 1, max_events=budget
-    )
+    runtime.run_until_global_version(total_waves - 1, max_events=budget)
     return runtime.sim.now
 
 
-def _build_runtime(
-    scenario: Scenario,
-    run: RunSpec,
-    fidelity: str,
-    trace: Trace,
-    oracles,
-    fabric_spec: FabricSpec,
-) -> HetPipeRuntime:
-    """The WSP runtime for one scenario run (main or equivalence twin)."""
-    if fidelity != run.fidelity.fidelity:
-        run = replace(run, fidelity=replace(run.fidelity, fidelity=fidelity))
+def _build_runtime(built: Deployment, run: RunSpec, **kwargs: Any) -> HetPipeRuntime:
+    """The WSP runtime for one run of a scenario (the main run or a twin)
+    on the shared built objects; ``kwargs`` go to ``from_spec``."""
     return HetPipeRuntime.from_spec(
-        run,
-        cluster=scenario.cluster,
-        model=scenario.model,
-        plans=list(scenario.plans),
-        trace=trace,
-        oracles=oracles,
-        fabric_spec=fabric_spec,
+        run, cluster=built.cluster, model=built.model, plans=list(built.plans), **kwargs
     )
 
 
 def _drive_main(
-    runtime: HetPipeRuntime, spec: ScenarioSpec, budget: int
+    runtime: HetPipeRuntime, warmup_waves: int, total_waves: int, budget: int
 ) -> tuple[float, tuple[int, ...], float]:
     """Drive a built runtime through warmup + the measured window.
 
     Returns ``(window, completions, makespan)``.
     """
-    total_waves = spec.warmup_waves + spec.measured_waves
     runtime.start()
-    runtime.run_until_global_version(spec.warmup_waves - 1, max_events=budget)
+    runtime.run_until_global_version(warmup_waves - 1, max_events=budget)
     t0 = runtime.sim.now
     done0 = [stats.minibatches_done for stats in runtime.stats]
     runtime.run_until_global_version(total_waves - 1, max_events=budget)
@@ -458,8 +471,9 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
     """Execute one scenario-kind ``run`` end to end and return its verdict.
 
     Every fuzz seed arrives as a :class:`~repro.api.spec.RunSpec`
-    (a generated :class:`ScenarioSpec` lifts into one through
-    :meth:`ScenarioSpec.to_run_spec`); anything else raises
+    (a generated draw lifts into one through
+    :meth:`~repro.scenarios.generator.ScenarioSpec.to_run_spec`), and
+    every knob is read from it; anything else raises
     :class:`~repro.errors.SpecError`.
 
     Shared-network scenarios additionally run their dedicated twin and
@@ -496,10 +510,10 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
     from repro.api.registry import ORACLES
 
     oracles = ORACLES.get(run.oracles)()
-    scenario = build_scenario(run)
-    spec = scenario.spec
-    shared = spec.network_model == "shared"
-    fabric_spec = congested_fabric_spec(spec.seed) if shared else DEFAULT_FABRIC_SPEC
+    built = build_scenario(run)
+    pipe = run.pipeline
+    shared = run.network.model == "shared"
+    fabric_spec = congested_fabric_spec(run.seed) if shared else DEFAULT_FABRIC_SPEC
     # Storage stays off: the oracles are live subscribers and the digest
     # is folded in record-by-record, so memory no longer grows with the
     # run's makespan (the digest value is identical to the stored-record
@@ -519,12 +533,10 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
         trace.subscribe(
             lambda r: ring.append((r.time, r.category, r.actor, dict(r.detail)))
         )
-    total_waves = spec.warmup_waves + spec.measured_waves
-    expected_minibatches = (
-        len(scenario.plans) * (total_waves + spec.d + 3) * spec.nm
-    )
+    total_waves = pipe.warmup_waves + _measured_waves(run)
+    expected_minibatches = len(built.plans) * (total_waves + pipe.d + 3) * pipe.nm
     budget = EVENTS_PER_MINIBATCH * expected_minibatches * max(
-        plan.k for plan in scenario.plans
+        plan.k for plan in built.plans
     )
     faulted = run.faults is not None
     if faulted:
@@ -533,12 +545,14 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
         budget *= 4
 
     window = 0.0
-    completions: tuple[int, ...] = tuple(0 for _ in scenario.plans)
+    completions: tuple[int, ...] = tuple(0 for _ in built.plans)
     throughput = 0.0
     makespan = 0.0
     dedicated_makespan = 0.0
     equivalence_checked = False
-    runtime = _build_runtime(scenario, run, fidelity, trace, oracles, fabric_spec)
+    runtime = _build_runtime(
+        built, run, trace=trace, oracles=oracles, fabric_spec=fabric_spec
+    )
     try:
         if faulted:
             # The fault-free baseline of the *same* run (same network
@@ -547,32 +561,35 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
             from repro.faults import FaultInjector, FaultTargets, compile_schedule
 
             horizon = _makespan_only(
-                scenario, run, budget, keep_network=True, fabric_spec=fabric_spec
+                built, run, total_waves, budget,
+                keep_network=True, fabric_spec=fabric_spec,
             )
             targets = FaultTargets(
-                num_virtual_workers=len(scenario.plans),
-                stages_per_worker=tuple(plan.k for plan in scenario.plans),
-                node_ids=tuple(node.node_id for node in scenario.cluster.nodes),
-                shards=run.pipeline.shards,
+                num_virtual_workers=len(built.plans),
+                stages_per_worker=tuple(plan.k for plan in built.plans),
+                node_ids=tuple(node.node_id for node in built.cluster.nodes),
+                shards=pipe.shards,
             )
-            schedule = compile_schedule(run.faults, targets, horizon, spec.seed)
+            schedule = compile_schedule(run.faults, targets, horizon, run.seed)
             if schedule:
                 FaultInjector(runtime, schedule, run.faults, horizon).arm()
             # An empty schedule arms nothing: the run (checkpoint
             # cadence included) stays bit-identical to faults-off.
-        window, completions, makespan = _drive_main(runtime, spec, budget)
+        window, completions, makespan = _drive_main(
+            runtime, pipe.warmup_waves, total_waves, budget
+        )
         throughput = (
-            sum(completions) * scenario.model.batch_size / window if window > 0 else 0.0
+            sum(completions) * built.model.batch_size / window if window > 0 else 0.0
         )
         runtime.check_invariants()
         if not faulted:
             # The differential/contention envelopes assume a fault-free
             # run; under injection the graceful-degradation oracles own
             # the timing verdict instead.
-            _check_bounds(scenario, runtime, window, completions, violations, fabric_spec)
+            _check_bounds(built, run, runtime, window, completions, violations, fabric_spec)
         from repro.pipeline.variants import get_variant
 
-        variant_def = get_variant(spec.variant)
+        variant_def = get_variant(pipe.variant)
         # Wave-flush / version-window gates admit on completion and
         # pull *timing*, so the shared run and its dedicated twin are
         # different admission schedules, not the same workload slowed
@@ -582,7 +599,7 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
             variant_def.wave_flush or variant_def.version_window is not None
         )
         if shared and not faulted and not timing_dependent_gate:
-            dedicated_makespan = _makespan_only(scenario, run, budget)
+            dedicated_makespan = _makespan_only(built, run, total_waves, budget)
             if makespan < dedicated_makespan * (1.0 - 1e-9):
                 violations.append(
                     f"contention: shared makespan {makespan:.6f}s beat the "
@@ -602,10 +619,11 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
             # cycles) *is* the full trajectory, and re-simulating it to
             # compare two bit-identical runs proves nothing.
             twin = _build_runtime(
-                scenario, run, "full", Trace(enabled=False),
-                [StalenessOracle()], fabric_spec,
+                built, replace(run, fidelity=replace(run.fidelity, fidelity="full")),
+                trace=Trace(enabled=False), oracles=[StalenessOracle()],
+                fabric_spec=fabric_spec,
             )
-            twin_window, _, _ = _drive_main(twin, spec, budget)
+            twin_window, _, _ = _drive_main(twin, pipe.warmup_waves, total_waves, budget)
             violations.extend(
                 compare_fingerprints(
                     semantic_fingerprint(twin), semantic_fingerprint(runtime)
@@ -621,7 +639,7 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
     except (InvariantViolation, SimulationError) as exc:
         violations.append(f"{type(exc).__name__}: {exc}")
 
-    pipe_digest, pipe_events, pipe_ff = _check_1f1b(scenario, violations, fidelity)
+    pipe_digest, pipe_events, pipe_ff = _check_1f1b(built, run.seed, violations, fidelity)
     combined = hashlib.sha256(
         (trace.digest() + pipe_digest).encode()
     ).hexdigest()
@@ -631,7 +649,7 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
     if capture_diagnostics and violations:
         logger.info(
             "seed %d: capturing diagnostics for %d violation(s)",
-            spec.seed, len(violations),
+            run.seed, len(violations),
         )
         diagnostics = {
             "spec_hash": run.spec_hash,
@@ -661,7 +679,7 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
                 "structural_change": runtime._structural_change,
             }
     return ScenarioResult(
-        spec=spec,
+        spec=run,
         digest=combined,
         violations=tuple(violations),
         throughput=throughput,
@@ -670,7 +688,6 @@ def run_scenario(run: RunSpec, capture_diagnostics: bool = False) -> ScenarioRes
         per_vw_completions=completions,
         makespan=makespan,
         dedicated_makespan=dedicated_makespan,
-        fidelity=fidelity,
         events_simulated=main_events + pipe_events,
         events_fast_forwarded=main_ff + pipe_ff,
         equivalence_checked=equivalence_checked,
@@ -732,7 +749,7 @@ class FuzzReport:
                 f"{self.equivalence_failures} failures"
             )
         for result in self.failures:
-            lines.append(f"  seed {result.spec.seed}: {result.spec.describe()}")
+            lines.append(f"  seed {result.spec.seed}: {describe_run(result.spec)}")
             for violation in result.violations:
                 lines.append(f"    - {violation}")
             bundle = self.bundle_paths.get(result.spec.seed)
@@ -741,85 +758,87 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _fuzz_run_spec(
-    seed: int,
-    network_model: str,
-    fidelity: str,
-    verify_equivalence: bool | None,
-    waves_scale: int,
-    shards: int,
-    shard_placement: str,
-    faults: bool = False,
-    variant: str = "vw_hetpipe",
-) -> RunSpec:
-    """The exact RunSpec one fuzz seed runs under.
+@dataclass(frozen=True)
+class FuzzMode:
+    """What one fuzz batch lays over every generated :class:`RunSpec`.
 
-    Shared between the worker (:func:`_fuzz_one`) and the parent's
-    diagnostics re-capture, so a bundle's ``spec.json`` is guaranteed to
-    reproduce the worker's run bit for bit.
+    Built from :func:`run_fuzz`'s keyword arguments and validated once,
+    before any seed runs: the network and fidelity sections validate on
+    construction, and the pipeline knobs the way
+    :class:`~repro.api.spec.PipelineSpec` and the variant zoo do.
     """
-    scenario = generate_scenario(seed)
-    spec = replace(
-        scenario.spec,
-        network_model=network_model,
-        shards=shards,
-        shard_placement=shard_placement,
-        variant=variant,
-    )
-    run = spec.to_run_spec(
-        fidelity=fidelity,
-        verify_equivalence=verify_equivalence,
-        waves_scale=waves_scale,
-    )
-    if faults:
-        # The fault axis rides on top of the unchanged scenario draw (a
-        # seed still denotes the same deployment); the schedule comes
-        # from its own seeded stream, and the graceful-degradation
-        # oracle suite replaces the fault-free timing envelopes.
-        from repro.faults import draw_fault_spec
 
-        run = replace(run, faults=draw_fault_spec(seed), oracles="faults")
-    return run
+    network: NetworkSpec
+    fidelity: FidelitySpec
+    shards: int = 1
+    shard_placement: str = "size_balanced"
+    variant: str = "vw_hetpipe"
+    faults: bool = False
 
+    def __post_init__(self) -> None:
+        from repro.pipeline.variants import get_variant
 
-def _fuzz_one(
-    args: tuple[int, str, str, bool | None, int, int, str, bool, str]
-) -> ScenarioResult:
-    """Run a single seed end to end (the :func:`sweep_map` work item).
-
-    The generated scenario is lifted into a typed
-    :class:`~repro.api.spec.RunSpec` — the canonical construction path
-    for every fuzz seed — before execution, so each result carries the
-    ``spec_hash`` of its exact configuration.  Module-level and
-    argument-pure so worker processes can import it by reference;
-    generation failures are reported as findings rather than raised —
-    the harness's contract is that *any* seed yields a verdict.
-    """
-    (
-        seed, network_model, fidelity, verify_equivalence,
-        waves_scale, shards, shard_placement, faults, variant,
-    ) = args
-    try:
-        run = _fuzz_run_spec(
-            seed, network_model, fidelity, verify_equivalence,
-            waves_scale, shards, shard_placement, faults, variant,
+        PipelineSpec(
+            shards=self.shards,
+            shard_placement=self.shard_placement,
+            variant=self.variant,
         )
+        get_variant(self.variant)
+
+    def apply(self, run: RunSpec) -> RunSpec:
+        """``run`` under this mode: one ``replace`` per section.
+
+        The fault axis rides on top of the unchanged scenario draw (a
+        seed still denotes the same deployment); its schedule comes from
+        its own seeded stream, and the graceful-degradation oracle suite
+        replaces the fault-free timing envelopes.
+        """
+        faulted = {}
+        if self.faults:
+            from repro.faults import draw_fault_spec
+
+            faulted = {"faults": draw_fault_spec(run.seed), "oracles": "faults"}
+        return replace(
+            run,
+            pipeline=replace(
+                run.pipeline,
+                shards=self.shards,
+                shard_placement=self.shard_placement,
+                variant=self.variant,
+            ),
+            network=self.network,
+            fidelity=self.fidelity,
+            **faulted,
+        )
+
+
+def _fuzz_one(item: tuple[int, FuzzMode]) -> ScenarioResult:
+    """Run one seed under a fuzz mode (the :func:`sweep_map` work item).
+
+    The seed's generated :class:`~repro.api.spec.RunSpec`, with the mode
+    laid over it, is the exact spec the seed runs under; the result
+    carries it, so the parent's diagnostics re-capture (and a bundle's
+    ``spec.json``) reproduces the worker's run bit for bit.
+    Module-level and argument-pure so worker processes can import it by
+    reference; generation failures are reported as findings rather than
+    raised — the harness's contract is that *any* seed yields a verdict.
+    """
+    seed, mode = item
+    run = None
+    try:
+        run = mode.apply(generate_run_spec(seed))
         return run_scenario(run)
     except ReproError as exc:
+        if run is None:  # no feasible deployment: report the seed's draw
+            run = mode.apply(draw_scenario_spec(seed).to_run_spec())
         return ScenarioResult(
-            spec=ScenarioSpec(
-                seed=seed, node_codes="?", gpus_per_node=0, allocation="?",
-                batch_size=0, image_size=0, conv_widths=(), fc_dims=(),
-                nm=0, d=0, placement="?", jitter=0.0,
-                push_every_minibatch=False, warmup_waves=0, measured_waves=0,
-            ),
+            spec=run,
             digest="",
             violations=(f"generation: {type(exc).__name__}: {exc}",),
             throughput=0.0,
             window=0.0,
             events=0,
             per_vw_completions=(),
-            fidelity=fidelity,
         )
 
 
@@ -874,12 +893,23 @@ def run_fuzz(
     per-variant staleness/ledger oracles); the scenario draw itself
     never varies, so the default keeps every digest frozen.  Unknown
     names raise :class:`~repro.errors.UnknownNameError` listing the zoo.
+    Every mode knob is validated before any seed runs: a bad value
+    raises one :class:`~repro.errors.SpecError`.
     """
     from repro.exec import sweep_map
-    from repro.pipeline.variants import get_variant
 
-    validate_fidelity(fidelity)
-    get_variant(variant)  # fail fast, before any worker fans out
+    mode = FuzzMode(
+        network=NetworkSpec(model=network_model),
+        fidelity=FidelitySpec(
+            fidelity=fidelity,
+            verify_equivalence=verify_equivalence,
+            waves_scale=waves_scale,
+        ),
+        shards=shards,
+        shard_placement=shard_placement,
+        variant=variant,
+        faults=faults,
+    )
     seeds = list(seeds)
     logger.info(
         "fuzz: %d seeds, network=%s fidelity=%s shards=%d faults=%s "
@@ -890,16 +920,7 @@ def run_fuzz(
     if verbose_log is not None:
         on_result = lambda index, result: verbose_log(result.describe())  # noqa: E731
     results = sweep_map(
-        _fuzz_one,
-        [
-            (
-                seed, network_model, fidelity, verify_equivalence,
-                waves_scale, shards, shard_placement, faults, variant,
-            )
-            for seed in seeds
-        ],
-        jobs=jobs,
-        on_result=on_result,
+        _fuzz_one, [(seed, mode) for seed in seeds], jobs=jobs, on_result=on_result
     )
     report = FuzzReport(results=results)
     if bundle_dir is not None:
@@ -908,15 +929,11 @@ def run_fuzz(
         for result in report.failures:
             if all(v.startswith("generation:") for v in result.violations):
                 continue  # no runnable spec to capture or replay
-            seed = result.spec.seed
-            run = _fuzz_run_spec(
-                seed, network_model, fidelity, verify_equivalence,
-                waves_scale, shards, shard_placement, faults, variant,
-            )
-            logger.info("seed %d failed; re-running with diagnostics capture", seed)
+            run = result.spec
+            logger.info("seed %d failed; re-running with diagnostics capture", run.seed)
             captured = run_scenario(run, capture_diagnostics=True)
             diagnostics = captured.diagnostics or {
                 "violations": list(captured.violations)
             }
-            report.bundle_paths[seed] = write_bundle(bundle_dir, run, diagnostics)
+            report.bundle_paths[run.seed] = write_bundle(bundle_dir, run, diagnostics)
     return report

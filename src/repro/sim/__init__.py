@@ -19,7 +19,6 @@ a deliberately small, deterministic event-driven simulator:
 from repro.sim.engine import Event, Simulator
 from repro.sim.equivalence import compare_fingerprints, semantic_fingerprint
 from repro.sim.fastforward import (
-    FIDELITY_MODES,
     FastForwardSummary,
     SteadyStateDetector,
     run_pipeline_fast_forward,
@@ -30,7 +29,6 @@ from repro.sim.trace import Trace, TraceRecord
 __all__ = [
     "Channel",
     "Event",
-    "FIDELITY_MODES",
     "FastForwardSummary",
     "Processor",
     "Simulator",

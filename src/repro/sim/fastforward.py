@@ -57,9 +57,6 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
-#: Fidelity switch values accepted across the simulation stack.
-FIDELITY_MODES = ("full", "fast_forward")
-
 #: Relative tolerance for matching per-cycle float deltas (see module
 #: docstring for why this sits far from both rounding noise and 1e-9).
 REL_TOL = 1e-12
@@ -69,14 +66,6 @@ MAX_PERIOD = 4
 
 #: Consecutive identical cycles required before a skip (the issue's K).
 CONFIRM = 2
-
-
-def validate_fidelity(fidelity: str) -> str:
-    if fidelity not in FIDELITY_MODES:
-        raise SimulationError(
-            f"unknown fidelity {fidelity!r}; expected one of {FIDELITY_MODES}"
-        )
-    return fidelity
 
 
 def _values_match(a: Any, b: Any, rel_tol: float) -> bool:

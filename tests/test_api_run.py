@@ -22,14 +22,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import build
 from repro.api.build import (
+    Deployment,
     build_calibration,
     build_cluster,
     build_model,
     build_plans,
     build_scenario,
-    run_to_scenario_spec,
 )
 from repro.api.registry import (
     CALIBRATIONS,
@@ -133,12 +132,10 @@ class TestBuild:
     def test_build_scenario_is_memoized_per_spec(self):
         spec = small_scenario_spec(planner="bnb")
         first, second = build_scenario(spec), build_scenario(spec)
-        # the expensive built objects are shared; only the thin Scenario
-        # wrapper (spec re-attachment) is reconstructed
-        assert first.plans is second.plans
-        assert first.cluster is second.cluster
-        assert first.model is second.model
-        assert first.spec == second.spec == build.run_to_scenario_spec(spec)
+        # the built deployment itself is shared: no spec view is re-attached
+        assert first is second
+        assert isinstance(first, Deployment)
+        assert first == (first.cluster, first.model, first.plans)
 
     def test_planners_agree_on_bottleneck(self):
         """bnb is the DP's cross-check: same bottleneck period."""
@@ -156,7 +153,6 @@ class TestBuild:
         assert rebuilt.cluster is scenario.cluster
         assert rebuilt.model is scenario.model
         assert rebuilt.plans is scenario.plans
-        assert rebuilt.spec == scenario.spec
 
     @pytest.mark.parametrize(
         "change, shared",
@@ -219,13 +215,21 @@ class TestBuild:
         else:
             assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
 
-    def test_run_to_scenario_spec_folds_waves_scale(self):
+    def test_waves_scale_stretches_the_measured_window(self):
+        """``fidelity.waves_scale`` multiplies the measured window: the
+        run's line names the scaled window and the runner measures it."""
+        from repro.scenarios.runner import describe_run, run_scenario
+
         spec = small_scenario_spec()
         scaled = replace(spec, fidelity=FidelitySpec(waves_scale=4))
-        assert (
-            run_to_scenario_spec(scaled).measured_waves
-            == spec.pipeline.measured_waves * 4
-        )
+        warmup, measured = spec.pipeline.warmup_waves, spec.pipeline.measured_waves
+        assert f"waves={warmup}+{measured * 4} " in describe_run(scaled) + " "
+        assert f"waves={warmup}+{measured} " in describe_run(spec) + " "
+        base, long = run_scenario(spec), run_scenario(scaled)
+        assert base.ok and long.ok
+        assert long.spec is scaled
+        assert long.window > 3 * base.window
+        assert sum(long.per_vw_completions) > 3 * sum(base.per_vw_completions)
 
     def test_experiment_spec_cannot_build_a_scenario(self):
         exp = RunSpec(kind="experiment", experiment=ExperimentSpec(name="fig3"))
@@ -310,10 +314,7 @@ class TestRunScenario:
                 push_every_minibatch=True,
             ),
         )
-        assert build_scenario(spec).plans is build_scenario(varied).plans
-        rewrapped = build_scenario(varied).spec
-        assert rewrapped.seed == 99
-        assert rewrapped.measured_waves == 16 and rewrapped.d == 3
+        assert build_scenario(spec) is build_scenario(varied)
 
     def test_unknown_experiment_model(self):
         spec = RunSpec(

@@ -146,15 +146,25 @@ class TestRoundTrip:
         else:
             assert first.spec_hash != second.spec_hash
 
-    def test_scenario_round_trips_through_scenario_spec(self):
-        """The fuzz generator's specs survive the RunSpec lift exactly."""
-        from repro.scenarios.generator import generate_scenario
+    def test_generated_draw_lifts_exactly(self):
+        """Every drawn knob survives the RunSpec lift, and the lifted
+        spec round-trips through canonical JSON."""
+        from dataclasses import astuple
 
-        from repro.api.build import run_to_scenario_spec
+        from repro.scenarios.generator import generate_scenario
 
         for seed in range(5):
             sspec = generate_scenario(seed).spec
-            assert run_to_scenario_spec(sspec.to_run_spec()) == sspec
+            run = sspec.to_run_spec()
+            cluster, model, pipe = run.cluster, run.model, run.pipeline
+            assert (
+                run.seed, cluster.node_codes, cluster.gpus_per_node,
+                pipe.allocation, model.batch_size, model.image_size,
+                model.conv_widths, model.fc_dims, pipe.nm, pipe.d,
+                pipe.placement, pipe.jitter, pipe.push_every_minibatch,
+                pipe.warmup_waves, pipe.measured_waves,
+            ) == astuple(sspec)
+            assert RunSpec.from_json(run.to_json()) == run
 
 
 class TestValidation:

@@ -132,6 +132,6 @@ class TestFuzzCommand:
         def boom(seed):
             raise ConfigurationError("synthetic")
 
-        monkeypatch.setattr(runner_mod, "generate_scenario", boom)
+        monkeypatch.setattr(runner_mod, "generate_run_spec", boom)
         assert main(["fuzz", "--seeds", "2"]) == 1
         assert "2 failing" in capsys.readouterr().out

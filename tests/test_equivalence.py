@@ -12,7 +12,10 @@ contract must surface as a violation.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.scenarios.generator import generate_scenario
+from dataclasses import replace
+
+from repro.api.spec import FidelitySpec
+from repro.scenarios.generator import generate_run_spec, generate_scenario
 from repro.scenarios.runner import run_scenario
 from repro.sim.equivalence import compare_fingerprints
 
@@ -40,6 +43,13 @@ class TestCompareFingerprints:
         ]
 
 
+def _fast_forward(run, verify=None):
+    """``run`` at fast_forward fidelity (``verify`` = verify_equivalence)."""
+    return replace(
+        run, fidelity=FidelitySpec(fidelity="fast_forward", verify_equivalence=verify)
+    )
+
+
 class TestScenarioEquivalence:
     """run_scenario's built-in oracle: full twin vs fast-forward."""
 
@@ -50,8 +60,7 @@ class TestScenarioEquivalence:
     )
     @given(seed=st.integers(min_value=0, max_value=150))
     def test_generated_scenarios_hold_the_contract(self, seed):
-        spec = generate_scenario(seed).spec
-        result = run_scenario(spec.to_run_spec(fidelity="fast_forward"))
+        result = run_scenario(_fast_forward(generate_run_spec(seed)))
         # The twin comparison runs exactly when the main run coalesced;
         # a run that never skipped IS the full trajectory already.
         if result.equivalence_checked:
@@ -61,24 +70,23 @@ class TestScenarioEquivalence:
     def test_deterministic_seed_coalesces_and_matches(self):
         # Seed 4 draws zero jitter (deterministic), so its steady state
         # must actually coalesce, not just trivially agree.
-        spec = generate_scenario(4).spec
-        result = run_scenario(spec.to_run_spec(fidelity="fast_forward"))
+        result = run_scenario(_fast_forward(generate_run_spec(4)))
         assert result.violations == ()
         assert result.events_fast_forwarded > 0
 
     def test_long_horizon_reduction_is_asymptotic(self):
-        from dataclasses import replace
-
-        spec = generate_scenario(4).spec
-        short = replace(spec, measured_waves=spec.measured_waves * 2)
-        long = replace(spec, measured_waves=spec.measured_waves * 16)
-        short_ff = run_scenario(
-            short.to_run_spec(fidelity="fast_forward", verify_equivalence=False)
+        run = generate_run_spec(4)
+        short, long = (
+            replace(run, pipeline=replace(
+                run.pipeline, measured_waves=run.pipeline.measured_waves * k
+            ))
+            for k in (2, 16)
         )
-        long_full = run_scenario(long.to_run_spec(verify_equivalence=False))
-        long_ff = run_scenario(
-            long.to_run_spec(fidelity="fast_forward", verify_equivalence=False)
+        short_ff = run_scenario(_fast_forward(short, verify=False))
+        long_full = run_scenario(
+            replace(long, fidelity=FidelitySpec(verify_equivalence=False))
         )
+        long_ff = run_scenario(_fast_forward(long, verify=False))
         assert long_ff.violations == () and long_full.violations == ()
         # 8x more waves must cost (far) less than 8x more dispatched
         # events: the added horizon is almost entirely coalesced.
@@ -94,8 +102,7 @@ class TestScenarioEquivalence:
         )
 
     def test_full_fidelity_never_fast_forwards(self):
-        spec = generate_scenario(4).spec
-        result = run_scenario(spec.to_run_spec())
+        result = run_scenario(generate_run_spec(4))
         assert result.fidelity == "full"
         assert result.events_fast_forwarded == 0
         assert not result.equivalence_checked
@@ -106,7 +113,7 @@ class TestScenarioEquivalence:
             for s in range(100)
             if generate_scenario(s).spec.jitter > 0
         )
-        result = run_scenario(jittered.to_run_spec(fidelity="fast_forward"))
+        result = run_scenario(_fast_forward(jittered.to_run_spec()))
         assert result.violations == ()
         # aperiodic by construction: the WSP runtime never skips, so the
         # twin comparison is vacuous and must be elided — the run IS the

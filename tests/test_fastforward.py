@@ -22,7 +22,6 @@ from repro.sim.fastforward import (
     SteadyStateDetector,
     queue_fingerprint,
     run_pipeline_fast_forward,
-    validate_fidelity,
 )
 from repro.sim.trace import SEMANTIC_CATEGORIES, Trace
 
@@ -126,12 +125,6 @@ class TestSteadyStateDetector:
     def test_confirm_below_two_is_rejected(self):
         with pytest.raises(SimulationError):
             SteadyStateDetector(confirm=1)
-
-    def test_validate_fidelity(self):
-        assert validate_fidelity("full") == "full"
-        assert validate_fidelity("fast_forward") == "fast_forward"
-        with pytest.raises(SimulationError):
-            validate_fidelity("approximate")
 
 
 # ----------------------------------------------------------------------
@@ -384,4 +377,28 @@ class TestKnownLongHorizonFaults:
         from repro.scenarios.runner import run_fuzz
 
         report = run_fuzz([330], fidelity="fast_forward", waves_scale=2)
+        assert [f.violations for f in report.failures] == []
+
+    # With faults on, fast-forward fails even at waves_scale 1: the
+    # checkpoint ledger stops advancing while the global clock runs on.
+    # The same seeds pass at full fidelity and on the shared network,
+    # where fast-forward is not armed.
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="checkpoint ledger stops at version 4 while the global clock reaches 8",
+    )
+    def test_seed_73_keeps_its_checkpoint_cadence_under_faults(self):
+        from repro.scenarios.runner import run_fuzz
+
+        report = run_fuzz([73], fidelity="fast_forward", faults=True)
+        assert [f.violations for f in report.failures] == []
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="checkpoint ledger stops at version 2 while the global clock reaches 7",
+    )
+    def test_seed_165_keeps_its_checkpoint_cadence_under_faults(self):
+        from repro.scenarios.runner import run_fuzz
+
+        report = run_fuzz([165], fidelity="fast_forward", faults=True)
         assert [f.violations for f in report.failures] == []

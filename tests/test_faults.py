@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api.build import build_scenario
-from repro.api.spec import FaultSpec, RunSpec
+from repro.api.spec import FaultSpec, FidelitySpec, NetworkSpec, RunSpec
 from repro.errors import ConfigurationError, SpecError
 from repro.faults import (
     FaultInjector,
@@ -14,9 +14,10 @@ from repro.faults import (
     draw_fault_spec,
 )
 from repro.obs.bundle import load_bundle, replay_bundle, write_bundle
+from repro.scenarios.generator import generate_run_spec
 from repro.scenarios.runner import (
     EVENTS_PER_MINIBATCH,
-    _fuzz_run_spec,
+    FuzzMode,
     _makespan_only,
     run_fuzz,
     run_scenario,
@@ -29,10 +30,18 @@ from repro.wsp.runtime import HetPipeRuntime
 _MULTI_NODE_SEED = 0
 
 
-def _base_run(seed: int = _MULTI_NODE_SEED, fidelity: str = "full") -> RunSpec:
-    return _fuzz_run_spec(
-        seed, "dedicated", fidelity, None, 1, 1, "size_balanced", False
+def _fuzz_spec(
+    seed: int = _MULTI_NODE_SEED, fidelity: str = "full", faults: bool = False
+) -> RunSpec:
+    """The spec ``run_fuzz`` runs ``seed`` under on the dedicated network."""
+    mode = FuzzMode(
+        network=NetworkSpec(), fidelity=FidelitySpec(fidelity=fidelity), faults=faults
     )
+    return mode.apply(generate_run_spec(seed))
+
+
+def _base_run(seed: int = _MULTI_NODE_SEED, fidelity: str = "full") -> RunSpec:
+    return _fuzz_spec(seed, fidelity)
 
 
 def _with_faults(run: RunSpec, *events, **knobs) -> RunSpec:
@@ -57,17 +66,17 @@ def _drive_faulted(run: RunSpec):
     inspectable (run_scenario only exposes them via diagnostics, and
     only for failing runs)."""
     scenario = build_scenario(run)
-    spec = scenario.spec
-    total = spec.warmup_waves + spec.measured_waves
+    pipe = run.pipeline
+    total = pipe.warmup_waves + pipe.measured_waves
     budget = (
         EVENTS_PER_MINIBATCH
         * len(scenario.plans)
-        * (total + spec.d + 3)
-        * spec.nm
+        * (total + pipe.d + 3)
+        * pipe.nm
         * max(plan.k for plan in scenario.plans)
         * 4
     )
-    horizon = _makespan_only(scenario, run, budget, keep_network=True)
+    horizon = _makespan_only(scenario, run, total, budget, keep_network=True)
     runtime = HetPipeRuntime.from_spec(
         run,
         cluster=scenario.cluster,
@@ -81,7 +90,7 @@ def _drive_faulted(run: RunSpec):
         node_ids=tuple(node.node_id for node in scenario.cluster.nodes),
         shards=run.pipeline.shards,
     )
-    schedule = compile_schedule(run.faults, targets, horizon, spec.seed)
+    schedule = compile_schedule(run.faults, targets, horizon, run.seed)
     injector = FaultInjector(runtime, schedule, run.faults, horizon)
     injector.arm()
     runtime.start()
@@ -252,26 +261,13 @@ class TestFastForward:
         """Coalescing around (never across) fault windows is exact: the
         fast-forward run must land on the full-fidelity makespan."""
         for seed in (_MULTI_NODE_SEED, 5):
-            full = run_scenario(
-                _fuzz_run_spec(
-                    seed, "dedicated", "full", None, 1, 1, "size_balanced", True
-                )
-            )
-            ff = run_scenario(
-                _fuzz_run_spec(
-                    seed, "dedicated", "fast_forward", None, 1, 1,
-                    "size_balanced", True,
-                )
-            )
+            full = run_scenario(_fuzz_spec(seed, "full", faults=True))
+            ff = run_scenario(_fuzz_spec(seed, "fast_forward", faults=True))
             assert not full.violations and not ff.violations
             assert ff.makespan == full.makespan
 
     def test_fast_forward_still_coalesces_outside_windows(self):
-        ff = run_scenario(
-            _fuzz_run_spec(
-                5, "dedicated", "fast_forward", None, 1, 1, "size_balanced", True
-            )
-        )
+        ff = run_scenario(_fuzz_spec(5, "fast_forward", faults=True))
         assert ff.events_fast_forwarded > 0
 
 

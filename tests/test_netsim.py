@@ -657,48 +657,52 @@ def _fabric_ledger(seed, shards=1, faults=False):
     import hashlib
 
     from repro.api.build import build_scenario
+    from repro.api.spec import FidelitySpec, NetworkSpec
+    from repro.scenarios import generate_run_spec
     from repro.scenarios.runner import (
         EVENTS_PER_MINIBATCH,
+        FuzzMode,
         _build_runtime,
         _drive_main,
-        _fuzz_run_spec,
         _makespan_only,
     )
     from repro.sim.trace import Trace
 
-    run = _fuzz_run_spec(
-        seed, "shared", "full", None, 1, shards, "size_balanced", faults=faults
+    mode = FuzzMode(
+        network=NetworkSpec(model="shared"), fidelity=FidelitySpec(),
+        shards=shards, faults=faults,
     )
-    scenario = build_scenario(run)
-    spec = scenario.spec
+    run = mode.apply(generate_run_spec(seed))
+    built = build_scenario(run)
+    pipe = run.pipeline
     fabric_spec = congested_fabric_spec(seed)
-    total_waves = spec.warmup_waves + spec.measured_waves
+    total_waves = pipe.warmup_waves + pipe.measured_waves
     budget = EVENTS_PER_MINIBATCH * (
-        len(scenario.plans) * (total_waves + spec.d + 3) * spec.nm
-    ) * max(plan.k for plan in scenario.plans)
+        len(built.plans) * (total_waves + pipe.d + 3) * pipe.nm
+    ) * max(plan.k for plan in built.plans)
     if faults:
         budget *= 4
     runtime = _build_runtime(
-        scenario, run, "full", Trace(enabled=False), [], fabric_spec
+        built, run, trace=Trace(enabled=False), fabric_spec=fabric_spec
     )
     injector = None
     if faults:
         from repro.faults import FaultInjector, FaultTargets, compile_schedule
 
         horizon = _makespan_only(
-            scenario, run, budget, keep_network=True, fabric_spec=fabric_spec
+            built, run, total_waves, budget, keep_network=True, fabric_spec=fabric_spec
         )
         targets = FaultTargets(
-            num_virtual_workers=len(scenario.plans),
-            stages_per_worker=tuple(plan.k for plan in scenario.plans),
-            node_ids=tuple(node.node_id for node in scenario.cluster.nodes),
-            shards=run.pipeline.shards,
+            num_virtual_workers=len(built.plans),
+            stages_per_worker=tuple(plan.k for plan in built.plans),
+            node_ids=tuple(node.node_id for node in built.cluster.nodes),
+            shards=pipe.shards,
         )
-        schedule = compile_schedule(run.faults, targets, horizon, spec.seed)
+        schedule = compile_schedule(run.faults, targets, horizon, run.seed)
         assert schedule, "pinned faulted seeds must arm a schedule"
         injector = FaultInjector(runtime, schedule, run.faults, horizon)
         injector.arm()
-    _drive_main(runtime, spec, budget)
+    _drive_main(runtime, pipe.warmup_waves, total_waves, budget)
     fabric, sim = runtime.fabric, runtime.sim
     ledger = (
         tuple(

@@ -18,6 +18,7 @@ import pytest
 from repro.api.registry import ORACLES
 from repro.api.spec import (
     ClusterSpec,
+    FidelitySpec,
     ModelSpec,
     ObservabilitySpec,
     PipelineSpec,
@@ -199,7 +200,8 @@ class TestFastForwardMacroSpans:
         # Seed 4 draws zero jitter, so its steady state actually skips.
         spec = generate_scenario(4).spec
         run = replace(
-            spec.to_run_spec(fidelity="fast_forward", verify_equivalence=False),
+            spec.to_run_spec(),
+            fidelity=FidelitySpec(fidelity="fast_forward", verify_equivalence=False),
             observability=ObservabilitySpec(enabled=True),
         )
         collector = ObsCollector(run.observability)
@@ -259,12 +261,12 @@ class TestDiagnosticsBundle:
         import repro.scenarios.runner as runner
 
         suite = forced_failure_suite()
-        original = runner._fuzz_run_spec
+        original = runner.generate_run_spec
 
-        def forced(*args, **kwargs):
-            return replace(original(*args, **kwargs), oracles=suite)
+        def forced(seed):
+            return replace(original(seed), oracles=suite)
 
-        monkeypatch.setattr(runner, "_fuzz_run_spec", forced)
+        monkeypatch.setattr(runner, "generate_run_spec", forced)
         report = run_fuzz([0], jobs=1, bundle_dir=str(tmp_path))
         assert report.failures
         path = report.bundle_paths[0]

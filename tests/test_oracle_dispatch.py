@@ -15,7 +15,10 @@ Two contracts of :class:`~repro.wsp.runtime.HetPipeRuntime`:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.pipeline.one_f_one_b import OneFOneBPipeline
+from repro.api.spec import FidelitySpec
 from repro.scenarios import generate_scenario
 from repro.scenarios.runner import _oracle_state
 from repro.sim.engine import Simulator
@@ -106,8 +109,9 @@ class TestFastForwardDispatch:
     def test_every_oracle_notified_once_per_coalesced_skip(self):
         # Seed 4 draws zero jitter, so its steady state actually skips.
         scenario = generate_scenario(4)
-        run = scenario.spec.to_run_spec(
-            fidelity="fast_forward", verify_equivalence=False
+        run = replace(
+            scenario.spec.to_run_spec(),
+            fidelity=FidelitySpec(fidelity="fast_forward", verify_equivalence=False),
         )
         spies = [FastForwardSpy(), BusyFastForwardSpy(), FastForwardSpy()]
         oracles = default_oracles() + spies
@@ -125,7 +129,7 @@ class TestFastForwardDispatch:
 
     def test_full_fidelity_never_notifies(self):
         scenario = generate_scenario(4)
-        run = scenario.spec.to_run_spec(fidelity="full")
+        run = scenario.spec.to_run_spec()
         spy = FastForwardSpy()
         runtime = HetPipeRuntime.from_spec(run, oracles=[spy])
         _drive(runtime, scenario.spec)

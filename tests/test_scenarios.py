@@ -4,16 +4,24 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ConfigurationError, PartitionError
+from repro.api.build import build_scenario
+from repro.api.spec import NetworkSpec
+from repro.errors import ConfigurationError, PartitionError, SpecError
 from repro.scenarios import (
     FuzzReport,
-    ScenarioSpec,
     build_fuzz_model,
+    describe_run,
+    generate_run_spec,
     generate_scenario,
     materialize,
     run_fuzz,
     run_scenario,
 )
+
+
+def _shared(seed: int):
+    run = generate_run_spec(seed)
+    return dataclasses.replace(run, network=NetworkSpec(model="shared"))
 
 
 class TestModelBuilder:
@@ -100,20 +108,19 @@ class TestRunScenario:
 
 class TestSharedNetworkScenarios:
     def test_shared_run_is_clean_and_records_makespans(self):
-        spec = dataclasses.replace(generate_scenario(1).spec, network_model="shared")
-        result = run_scenario(spec.to_run_spec())
+        result = run_scenario(_shared(1))
         assert result.ok, result.violations
         assert result.makespan >= result.dedicated_makespan > 0
-        assert "net=shared" in result.spec.describe()
+        assert "net=shared" in describe_run(result.spec)
 
     def test_shared_mode_does_not_perturb_the_scenario_draw(self):
-        dedicated = generate_scenario(4).spec
-        assert dedicated.network_model == "dedicated"
-        assert "net=" not in dedicated.describe()
+        dedicated = generate_run_spec(4)
+        assert dedicated.network.model == "dedicated"
+        assert "net=" not in describe_run(dedicated)
+        assert _shared(4).pipeline == dedicated.pipeline
 
     def test_shared_replay_is_bit_identical(self):
-        spec = dataclasses.replace(generate_scenario(6).spec, network_model="shared")
-        run = spec.to_run_spec()
+        run = _shared(6)
         assert run_scenario(run).digest == run_scenario(run).digest
 
     def test_shared_batch_smoke(self):
@@ -141,10 +148,34 @@ class TestFuzzBatch:
         def boom(seed):
             raise ConfigurationError("synthetic generation failure")
 
-        monkeypatch.setattr(runner_mod, "generate_scenario", boom)
-        report = run_fuzz(range(2))
+        monkeypatch.setattr(runner_mod, "generate_run_spec", boom)
+        report = run_fuzz(range(2), network_model="shared")
         assert len(report.failures) == 2
         assert all("generation" in r.violations[0] for r in report.results)
+        # the finding names the seed's draw under the batch's mode
+        assert [r.spec.seed for r in report.results] == [0, 1]
+        assert all(r.spec.network.model == "shared" for r in report.results)
+        assert "seed 1: seed=1 cluster=" in report.summary()
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"waves_scale": 0},
+            {"shards": 0},
+            {"network_model": "infiniband"},
+            {"shard_placement": "nope"},
+            {"fidelity": "approximate"},
+        ],
+    )
+    def test_bad_mode_is_one_spec_error_before_any_seed(self, options, monkeypatch):
+        import repro.scenarios.runner as runner_mod
+
+        def unreachable(seed):
+            raise AssertionError("a seed ran under an invalid mode")
+
+        monkeypatch.setattr(runner_mod, "generate_run_spec", unreachable)
+        with pytest.raises(SpecError):
+            run_fuzz(range(3), **options)
 
     def test_failing_summary_lists_violations(self):
         bad = run_scenario(generate_scenario(0).spec.to_run_spec())
@@ -162,15 +193,16 @@ class TestDifferentialBounds:
         from repro.wsp.runtime import HetPipeRuntime
         from repro.sim.trace import Trace
 
-        scenario = generate_scenario(4)
-        spec = scenario.spec
+        run = generate_run_spec(4)
+        built = build_scenario(run)
         runtime = HetPipeRuntime(
-            scenario.cluster, scenario.model, list(scenario.plans),
-            d=spec.d, placement=spec.placement, trace=Trace(enabled=False),
+            built.cluster, built.model, list(built.plans),
+            d=run.pipeline.d, placement=run.pipeline.placement,
+            trace=Trace(enabled=False),
         )
         violations = []
-        impossible = tuple(10_000 for _ in scenario.plans)
-        _check_bounds(scenario, runtime, 1e-9, impossible, violations)
+        impossible = tuple(10_000 for _ in built.plans)
+        _check_bounds(built, run, runtime, 1e-9, impossible, violations)
         assert violations, "an impossibly fast window must be flagged"
 
     def test_window_bound_catches_livelock(self):
@@ -179,16 +211,17 @@ class TestDifferentialBounds:
         from repro.wsp.runtime import HetPipeRuntime
         from repro.sim.trace import Trace
 
-        scenario = generate_scenario(4)
-        spec = scenario.spec
+        run = generate_run_spec(4)
+        built = build_scenario(run)
+        pipe = run.pipeline
         runtime = HetPipeRuntime(
-            scenario.cluster, scenario.model, list(scenario.plans),
-            d=spec.d, placement=spec.placement, trace=Trace(enabled=False),
+            built.cluster, built.model, list(built.plans),
+            d=pipe.d, placement=pipe.placement, trace=Trace(enabled=False),
         )
         violations = []
-        low, _ = wsp_completion_bounds(spec.nm, spec.d, spec.measured_waves)
-        plausible = tuple(max(low, 1) for _ in scenario.plans)
-        _check_bounds(scenario, runtime, 1e9, plausible, violations)
+        low, _ = wsp_completion_bounds(pipe.nm, pipe.d, pipe.measured_waves)
+        plausible = tuple(max(low, 1) for _ in built.plans)
+        _check_bounds(built, run, runtime, 1e9, plausible, violations)
         assert any("livelock" in v for v in violations)
 
 
@@ -236,7 +269,7 @@ class TestOneFOneBGolden:
         from repro.scenarios.runner import _check_1f1b
 
         violations = []
-        assert _check_1f1b(generate_scenario(seed), violations, fidelity) == expected
+        assert _check_1f1b(generate_scenario(seed), seed, violations, fidelity) == expected
         assert violations == []
 
 
