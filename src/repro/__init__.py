@@ -20,9 +20,9 @@ See ``examples/`` for runnable walkthroughs and ``repro.experiments``
 for the paper's tables and figures.
 
 The package namespace resolves lazily (PEP 562): importing ``repro``
-pulls in nothing heavy, so ``repro fuzz`` and ``repro bench`` — whose
-throughput is itself tracked in ``BENCH_sweep.json`` — do not pay for
-NumPy and the numeric trainers they never touch.  ``from repro import
+pulls in nothing heavy, so ``repro fuzz`` — whose startup the repo
+benchmark measures as ``setup_s`` (``bench/``) — does not pay for NumPy
+and the numeric trainers it never touches.  ``from repro import
 X`` works exactly as before; the submodule is imported on first access.
 """
 

@@ -11,8 +11,9 @@ lists).  This module replaces that plumbing with typed
 CLI maps that to exit code 2).
 
 Entries are lazy factories: looking a name up imports only what that
-name needs, so ``repro fuzz`` / ``repro bench`` startup — itself a
-tracked benchmark — stays free of NumPy and the experiment harnesses.
+name needs, so ``repro fuzz`` startup — measured as ``setup_s`` by the
+repo benchmark in ``bench/`` — stays free of NumPy and the experiment
+harnesses.
 """
 
 from __future__ import annotations

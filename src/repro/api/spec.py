@@ -62,10 +62,10 @@ def _require(condition: bool, message: str) -> None:
 def canonical_dumps(data: Any) -> str:
     """The canonical compact JSON form: sorted keys, no whitespace.
 
-    Everything content-addressed in this project — ``spec_hash``, the
-    result store's entry checksums and bench-history keys — hashes this
-    exact serialization, so the same dict always maps to the same hash
-    regardless of insertion order or source formatting.
+    Everything content-addressed in this project — ``spec_hash`` and the
+    result store's entry checksums — hashes this exact serialization, so
+    the same dict always maps to the same hash regardless of insertion
+    order or source formatting.
     """
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 

@@ -7,10 +7,7 @@ random configurations through the full runtime under invariant oracles
 (see :mod:`repro.scenarios`), optionally on the contention-aware shared
 network (``--network shared``).  ``netsim`` reports per-resource network
 utilization and the top congested links of one deployment under the
-shared fabric (see :mod:`repro.netsim`).  ``bench`` times the hot paths
-(fuzz throughput, engine micro-ops, plan cache, experiments) and writes
-``BENCH_sweep.json`` — the tracked perf baseline (see
-:mod:`repro.exec.bench`).
+shared fabric (see :mod:`repro.netsim`).
 
 ``run`` and ``sweep`` are the declarative entries (see
 :mod:`repro.api`): ``repro run spec.json`` executes one typed
@@ -23,15 +20,16 @@ tagged with its ``spec_hash``.  Checked-in spec files live under
 Multi-scenario commands accept ``--jobs N`` and fan their independent
 work items across worker processes through :mod:`repro.exec`; output is
 bit-identical to a serial run.  Experiment modules import lazily, per
-subcommand: ``repro fuzz`` / ``repro bench`` startup is itself part of
-the tracked benchmark, so it must not pay for NumPy and the numeric
-trainers it never uses.
+subcommand: ``repro fuzz`` startup is measured by the repo benchmark
+(``setup_s`` in ``bench/``), so it must not pay for NumPy and the
+numeric trainers it never uses.
 
 Exit codes are uniform: 0 success, 1 findings (fuzz violations, failing
-sweep points, perf regressions), 2 bad configuration — malformed specs
-(:class:`~repro.errors.SpecError`) and unknown registry names
-(:class:`~repro.errors.UnknownNameError`, which lists what exists)
-print one actionable line to stderr instead of a traceback.
+sweep points), 2 bad configuration — malformed specs
+(:class:`~repro.errors.SpecError`), unknown registry names
+(:class:`~repro.errors.UnknownNameError`, which lists what exists) and
+unwritable output paths (:class:`OSError`) print one actionable line to
+stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -183,56 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnostics capture and write one reproducible bundle directory "
         "per failure under DIR (spec.json + trace ring + oracle state + "
         "queue snapshots; replay with `repro run <bundle>/spec.json`)",
-    )
-    p = sub.add_parser(
-        "bench",
-        help="time the hot paths (fuzz throughput, engine/trace micro-ops, "
-        "plan cache, experiments) and write the BENCH_sweep.json baseline",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="CI-smoke sizes (25 seeds, smaller micro-benchmarks, fig3 only)",
-    )
-    p.add_argument(
-        "--seeds", type=_positive_int, default=None, metavar="N",
-        help="override the fuzz seed count",
-    )
-    p.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="worker processes for the parallel fuzz measurement "
-        "(default: one per CPU)",
-    )
-    p.add_argument(
-        "--out", default="", metavar="PATH",
-        help="write the JSON payload here (default: print only; pass "
-        "BENCH_sweep.json explicitly to refresh the committed baseline)",
-    )
-    p.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare fuzz throughput against a committed baseline JSON "
-        "and exit 1 on regression",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.30, metavar="FRAC",
-        help="allowed fractional throughput regression for --check "
-        "(default: 0.30)",
-    )
-    p.add_argument(
-        "--no-experiments", action="store_true",
-        help="skip the end-to-end figure timings",
-    )
-    p.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="also append this run's payload to a result store as an "
-        "accumulating bench history record (keyed by the payload's "
-        "content hash; inspect with `repro store ls DIR`)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="run the suite under cProfile, print the human top-25 to "
-        "stdout, and write the structured hetpipe-profile/1 JSON next to "
-        "the --out path (BENCH_profile.json) so profiles are diffable "
-        "across PRs",
     )
     p = sub.add_parser(
         "netsim",
@@ -507,22 +455,23 @@ def main(argv: list[str] | None = None) -> int:
         PartitionError,
         StoreCorruptionError,
         ItemTimeoutError,
+        OSError,
     ) as exc:
         # Typed configuration errors — malformed specs (SpecError),
         # unknown registry names (UnknownNameError, which lists the
         # available entries), inconsistent clusters, infeasible
         # deployments, corrupted store entries (StoreCorruptionError
         # names the file), hung sweep items (ItemTimeoutError names the
-        # point): one actionable line, exit code 2 — never a raw
-        # traceback.
+        # point) — and unwritable output paths (OSError names the path):
+        # one actionable line, exit code 2 — never a raw traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _dispatch(args) -> int:
-    # Every experiment import happens inside its branch: `repro fuzz` and
-    # `repro bench` must start without touching NumPy or the experiment
-    # harnesses (their startup is part of the tracked benchmark).
+    # Every experiment import happens inside its branch: `repro fuzz` must
+    # start without touching NumPy or the experiment harnesses (its
+    # startup is the benchmark's setup_s, see bench/README.md).
     if args.command == "fig3":
         from repro.experiments import run_fig3
 
@@ -580,10 +529,6 @@ def _dispatch(args) -> int:
         )
         print(report.summary())
         return 1 if report.failures else 0
-    elif args.command == "bench":
-        from repro.exec.bench import main_bench
-
-        return main_bench(args)
     elif args.command == "netsim":
         from repro.experiments.netsim_report import run_netsim
 

@@ -1,13 +1,10 @@
-"""Sweep execution: deterministic parallel fan-out + perf benchmarks.
+"""Sweep execution: deterministic parallel fan-out.
 
-* :mod:`repro.exec.pool` — :func:`sweep_map`, the executor every
-  multi-scenario entry point (fuzz batches, figure experiments) runs
-  through: round-robin striping across worker processes with in-order
-  merging, so ``--jobs N`` output is bit-identical to serial.
-* :mod:`repro.exec.bench` — ``repro bench``: times fuzz throughput,
-  engine/trace micro-ops, the plan cache, and the figure experiments,
-  and writes ``BENCH_sweep.json`` so every PR has a perf trajectory to
-  compare against (``repro bench --check`` gates on it).
+:mod:`repro.exec.pool` holds :func:`sweep_map`, the executor every
+multi-scenario entry point (fuzz batches, figure experiments, sweeps)
+runs through: round-robin striping across worker processes with in-order
+merging, so ``--jobs N`` output is bit-identical to serial.  Performance
+is measured outside the package, by the repo benchmark in ``bench/``.
 """
 
 from repro.exec.pool import resolve_jobs, stripe_indices, sweep_map

@@ -1,7 +1,7 @@
 """Deterministic parallel sweep execution with streamed results.
 
 Every multi-scenario entry point (``repro fuzz``, the figure
-experiments, ``repro bench``, ``repro sweep``) funnels through
+experiments, ``repro sweep``) funnels through
 :func:`sweep_map`: a map over independent work items that can fan out
 across worker processes (``jobs > 1``) while remaining **bit-identical
 to the serial run**.

@@ -11,8 +11,7 @@
 ``repro sweep --store DIR`` streams every completed point into a store
 the moment it finishes and ``--resume`` skips points whose verified
 entry already exists; ``repro store {ls,verify,gc,quarantine}`` are the
-maintenance verbs; ``repro bench --store DIR`` appends each bench
-payload as an accumulating history record.
+maintenance verbs.
 """
 
 from repro.store.core import (

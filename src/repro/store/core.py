@@ -53,6 +53,8 @@ RESULT_SCHEMA = "hetpipe-result/1"
 
 #: Record kinds the store understands; open-ended by design (the store
 #: is a dumb content-addressed map), listed here for documentation.
+#: "bench" records come from older versions, which kept perf history in
+#: the store; stores that hold them still load and verify.
 KNOWN_KINDS = ("scenario", "experiment", "bench")
 
 
@@ -64,13 +66,14 @@ def _sha256(text: str) -> str:
 class ResultRecord:
     """One schema-tagged store entry.
 
-    ``key`` is the content address — a ``spec_hash`` for sweep points,
-    the payload hash for bench-history records.  ``payload`` carries the
-    outcome (for sweep points: ``kind``/``ok``/``summary``/
-    ``violations`` plus whatever metrics the producer adds); ``spec`` is
-    the canonical RunSpec dict when one exists, so any entry can be
-    replayed with ``repro run``; ``provenance`` records who wrote it and
-    when (informational — never part of any behavioral comparison).
+    ``key`` is the content address — a ``spec_hash`` for sweep points
+    (older ``bench`` records are keyed by their payload hash).
+    ``payload`` carries the outcome (for sweep points: ``kind``/``ok``/
+    ``summary``/``violations`` plus whatever metrics the producer adds);
+    ``spec`` is the canonical RunSpec dict when one exists, so any entry
+    can be replayed with ``repro run``; ``provenance`` records who wrote
+    it and when (informational — never part of any behavioral
+    comparison).
     """
 
     key: str

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.cluster.topology import Cluster
+from repro.errors import SpecError
 from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.models.graph import ModelGraph
 from repro.partition.spec import PartitionPlan
@@ -82,6 +83,9 @@ def measure_hetpipe(
     shard_placement: str = "size_balanced",
 ) -> HetPipeMetrics:
     """Measure aggregate steady-state behaviour of a HetPipe deployment."""
+    for arg, value in (("warmup_waves", warmup_waves), ("measured_waves", measured_waves)):
+        if value < 1:
+            raise SpecError(f"measure_hetpipe: {arg} must be >= 1, got {value}")
     runtime = HetPipeRuntime(
         cluster,
         model,

@@ -66,6 +66,22 @@ class TestDispatch:
         assert "sync overhead" in out
 
 
+class TestUnwritableOutput:
+    """An output path under a regular file is one error line, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "examples/specs/trace_demo.json", "--out", "{blocker}/x.json"],
+        ["sweep", "examples/specs/resume_grid.json", "--store", "{blocker}/st"],
+    ], ids=["trace", "sweep"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([arg.format(blocker=blocker) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err and "Traceback" not in err
+
+
 class TestLogLevel:
     def test_defaults_to_warning(self):
         assert build_parser().parse_args(["fuzz"]).log_level == "warning"

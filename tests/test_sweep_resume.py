@@ -302,21 +302,3 @@ class TestStoreCli:
         assert main(["store", "ls", str(tmp_path / "nope")]) == 2
         assert "not a directory" in capsys.readouterr().err
 
-
-class TestBenchHistory:
-    def test_record_history_accumulates_distinct_runs(self, tmp_path):
-        from repro.exec.bench import record_history
-
-        store_dir = str(tmp_path / "store")
-        payload_a = {"schema": "hetpipe-bench/4", "metrics": {"fuzz": {"scenarios_per_sec": 10.0}}}
-        payload_b = {"schema": "hetpipe-bench/4", "metrics": {"fuzz": {"scenarios_per_sec": 11.0}}}
-        record_history(payload_a, store_dir)
-        record_history(payload_b, store_dir)
-        record_history(payload_a, store_dir)  # identical rerun dedupes
-        store = ResultStore(store_dir)
-        assert len(store) == 2
-        for key in store.keys():
-            record = store.load(key)
-            assert record.kind == "bench"
-            assert record.payload["bench"]["schema"] == "hetpipe-bench/4"
-            assert "scen/s" in record.payload["summary"]

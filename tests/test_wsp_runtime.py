@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SpecError
 from repro.models.calibration import DEFAULT_CALIBRATION
 from repro.partition import plan_virtual_worker
 from repro.wsp import measure_hetpipe
@@ -226,6 +226,16 @@ class TestWaveAggregation:
 
 
 class TestMetricsShape:
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("arg", ["warmup_waves", "measured_waves"])
+    def test_empty_window_is_a_spec_error(self, cluster, resnet152, ed_plans, monkeypatch, arg, value):
+        def no_runtime(*args, **kwargs):
+            raise AssertionError("the runtime was built before the window was checked")
+
+        monkeypatch.setattr("repro.wsp.measure.HetPipeRuntime", no_runtime)
+        with pytest.raises(SpecError, match=f"measure_hetpipe: {arg} must be >= 1, got {value}"):
+            measure_hetpipe(cluster, resnet152, ed_plans, **{arg: value})
+
     def test_total_concurrent_minibatches(self, cluster, resnet152, ed_plans):
         metrics = measure_hetpipe(
             cluster, resnet152, ed_plans, d=0, placement="local",
