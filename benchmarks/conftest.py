@@ -8,6 +8,8 @@ lands in ``bench_output.txt``.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 
@@ -27,3 +29,26 @@ def run_once(benchmark, fn):
     """Time one full regeneration of a table/figure (deterministic, so a
     single round is meaningful)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def sha256_text(text: str) -> str:
+    """Hex sha256 of ``text`` — pins a rendered table byte for byte."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture()
+def hetpipe_measurements(monkeypatch):
+    """Every :class:`~repro.wsp.measure.HetPipeMetrics` measured while the
+    fixture is active, in call order (Nm probes included)."""
+    import repro.wsp.measure as measure
+
+    recorded = []
+    core = measure._measure_runtime
+
+    def recording(*args, **kwargs):
+        metrics = core(*args, **kwargs)
+        recorded.append(metrics)
+        return metrics
+
+    monkeypatch.setattr(measure, "_measure_runtime", recording)
+    return recorded

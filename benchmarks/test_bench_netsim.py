@@ -10,10 +10,17 @@ resource, which is exactly why HetPipe bounds staleness instead of
 synchronizing every minibatch.
 """
 
-from conftest import run_once
+from conftest import run_once, sha256_text
 
 from repro.experiments import run_netsim
 from repro.experiments.report import format_table
+
+#: sha256 of each rendered report (byte-identity pin)
+RENDER_SHA256 = {
+    "vgg19": "706b061c22da57ee1c0fdf14743f2720747e87bd43a79a9ef6ab25fdfd84b270",
+    "resnet152/grpc_tf112": "ab6b2f56f320e0099f44aeb9d6e5640ceef9d7a18630465bbb0e1c85f7df663d",
+    "resnet152/nccl_modern": "c5178e97d54872d20c72f13eddb181436487a405fd8505e93ba4aba9997ed978",
+}
 
 
 def test_bench_netsim_vgg19(benchmark, show):
@@ -22,6 +29,7 @@ def test_bench_netsim_vgg19(benchmark, show):
         lambda: run_netsim(model_name="vgg19", allocation="ED", nm=2, top=6),
     )
     show(result.render())
+    assert sha256_text(result.render()) == RENDER_SHA256["vgg19"]
     assert result.dedicated_throughput > 0
     assert result.shared_throughput > 0
     # contention can only cost throughput on a multi-node deployment
@@ -60,6 +68,8 @@ def test_bench_netsim_profiles(benchmark, show):
             title="netsim — calibration profiles on VRGQ (ED, Nm=2)",
         )
     )
+    for profile, r in results.items():
+        assert sha256_text(r.render()) == RENDER_SHA256[f"resnet152/{profile}"]
     old, new = results["grpc_tf112"], results["nccl_modern"]
     assert new.shared_throughput > old.shared_throughput
     assert new.slowdown <= old.slowdown
