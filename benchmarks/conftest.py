@@ -43,12 +43,12 @@ def hetpipe_measurements(monkeypatch):
     import repro.wsp.measure as measure
 
     recorded = []
-    core = measure._measure_runtime
+    core = measure.measure_runtime
 
     def recording(*args, **kwargs):
         metrics = core(*args, **kwargs)
         recorded.append(metrics)
         return metrics
 
-    monkeypatch.setattr(measure, "_measure_runtime", recording)
+    monkeypatch.setattr(measure, "measure_runtime", recording)
     return recorded

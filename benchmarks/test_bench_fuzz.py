@@ -42,22 +42,20 @@ def test_bench_fuzz_batch(benchmark, show):
 def test_bench_oracle_overhead(benchmark, show):
     """One mid-size scenario with and without the oracle suite attached."""
     scenario = generate_scenario(3)
-    spec = scenario.spec
+    spec = scenario.spec.to_run_spec()
 
     def run(oracles):
-        runtime = HetPipeRuntime(
-            scenario.cluster,
-            scenario.model,
-            list(scenario.plans),
-            d=spec.d,
-            placement=spec.placement,
+        runtime = HetPipeRuntime.from_spec(
+            spec,
+            cluster=scenario.cluster,
+            model=scenario.model,
+            plans=list(scenario.plans),
             trace=Trace(enabled=True),
-            push_every_minibatch=spec.push_every_minibatch,
-            jitter=spec.jitter,
             oracles=oracles,
         )
         runtime.start()
-        runtime.run_until_global_version(spec.warmup_waves + spec.measured_waves - 1)
+        pipe = spec.pipeline
+        runtime.run_until_global_version(pipe.warmup_waves + pipe.measured_waves - 1)
         return runtime.sim.events_processed
 
     events_plain = run([])
@@ -66,7 +64,7 @@ def test_bench_oracle_overhead(benchmark, show):
         format_table(
             ["mode", "events"],
             [("unchecked", events_plain), ("oracle-checked", events_checked)],
-            title=f"oracle overhead — {describe_run(spec.to_run_spec())}",
+            title=f"oracle overhead — {describe_run(spec)}",
         )
     )
     # The oracles observe; they must not change the event sequence.

@@ -12,10 +12,13 @@ Run:  python examples/custom_cluster.py
 from repro import (
     GPUSpec,
     InterconnectSpec,
+    ModelSpec,
     Node,
+    PipelineSpec,
+    RunSpec,
     build_resnet152,
-    measure_hetpipe,
     measure_horovod,
+    measure_run,
     max_feasible_nm,
     plan_virtual_worker,
 )
@@ -88,7 +91,15 @@ def main() -> None:
     ]
     print(plans[0].describe())
 
-    metrics = measure_hetpipe(cluster, model, plans, d=1, placement="local")
+    # The RunSpec carries the run's knobs; its cluster section is not
+    # read, since the custom cluster is passed in built.
+    run = RunSpec(
+        model=ModelSpec("resnet152"),
+        pipeline=PipelineSpec(
+            nm=nm, d=1, placement="local", warmup_waves=4, measured_waves=12
+        ),
+    )
+    metrics = measure_run(run, cluster=cluster, model=model, plans=plans)
     print(
         f"\nHetPipe on the custom cluster: {metrics.throughput:.0f} images/s "
         f"({metrics.num_virtual_workers} VWs, D={metrics.d})"

@@ -8,10 +8,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
+    ModelSpec,
+    PipelineSpec,
+    RunSpec,
     allocate,
     build_vgg19,
-    measure_hetpipe,
     measure_horovod,
+    measure_run,
     paper_cluster,
     plan_virtual_worker,
 )
@@ -45,8 +48,16 @@ def main() -> None:
     print()
 
     # 5. Run HetPipe: pipelined model parallelism inside each worker,
-    #    WSP data parallelism across them (D = 0, local placement).
-    metrics = measure_hetpipe(cluster, model, plans, d=0, placement="local")
+    #    WSP data parallelism across them (D = 0, local placement).  A
+    #    RunSpec describes the run; the objects built above are reused.
+    run = RunSpec(
+        model=ModelSpec("vgg19"),
+        pipeline=PipelineSpec(
+            nm=4, d=0, allocation="ED", placement="local",
+            warmup_waves=4, measured_waves=12,
+        ),
+    )
+    metrics = measure_run(run, cluster=cluster, model=model, plans=plans)
     print(
         f"HetPipe (ED-local, D=0): {metrics.throughput:7.1f} images/s   "
         f"sync cross-node: {metrics.sync_cross_node_bytes_per_wave / mib(1):.0f} MiB/wave"

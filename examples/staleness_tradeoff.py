@@ -11,10 +11,15 @@ This is the machinery behind Figure 6 and the §8.4 analysis.
 Run:  python examples/staleness_tradeoff.py
 """
 
+from dataclasses import replace
+
 from repro import (
+    ModelSpec,
+    PipelineSpec,
+    RunSpec,
     allocate,
     build_vgg19,
-    measure_hetpipe,
+    measure_run,
     paper_cluster,
     plan_virtual_worker,
 )
@@ -30,16 +35,20 @@ def main() -> None:
         plan_virtual_worker(model, vw, 4, cluster.interconnect, search_orderings=False)
         for vw in assignment.virtual_workers
     ]
+    base = RunSpec(
+        model=ModelSpec("vgg19"),
+        pipeline=PipelineSpec(
+            nm=4, placement="local", jitter=0.08, warmup_waves=3, measured_waves=10
+        ),
+    )
     dataset = make_classification()
     dims = [dataset.feature_dim, 64, 32, dataset.num_classes]
 
     print(f"{'D':>3}  {'img/s':>6}  {'wait/wave':>10}  {'acc@end':>8}  {'t2a(0.65)':>9}")
     for d in (0, 1, 4, 16, 32):
         # system side: throughput and waiting, with compute jitter
-        perf = measure_hetpipe(
-            cluster, model, plans, d=d, placement="local", jitter=0.08,
-            warmup_waves=3, measured_waves=10,
-        )
+        run = replace(base, pipeline=replace(base.pipeline, d=d))
+        perf = measure_run(run, cluster=cluster, model=model, plans=plans)
         intervals = tuple(
             perf.window / done for done in perf.per_vw_minibatches
         )

@@ -14,13 +14,17 @@ Run:  python examples/whimpy_cluster.py
 """
 
 from repro import (
+    ClusterSpec,
     MemoryCapacityError,
+    ModelSpec,
+    PipelineSpec,
+    RunSpec,
     allocate,
     build_resnet152,
     max_feasible_nm,
-    measure_hetpipe,
     measure_horovod,
     measure_pipeline,
+    measure_run,
     paper_cluster,
     plan_virtual_worker,
     single_type_cluster,
@@ -65,7 +69,15 @@ def main() -> None:
             plan_virtual_worker(model, vw, nm, cluster.interconnect, search_orderings=False)
             for vw in assignment.virtual_workers
         ]
-        metrics = measure_hetpipe(cluster, model, plans, d=0, placement="local")
+        run = RunSpec(
+            cluster=ClusterSpec(codes),
+            model=ModelSpec("resnet152"),
+            pipeline=PipelineSpec(
+                nm=nm, allocation=assignment.policy, placement="local",
+                warmup_waves=4, measured_waves=12,
+            ),
+        )
+        metrics = measure_run(run, cluster=cluster, model=model, plans=plans)
         print(
             f"  {len(cluster.gpus):2d} GPUs [{codes:<3}]  "
             f"{metrics.throughput:6.0f} images/s  "

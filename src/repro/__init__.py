@@ -4,15 +4,12 @@ with Wave Synchronous Parallel on (whimpy) heterogeneous GPU clusters.
 Reproduces Park et al., USENIX ATC 2020, on a simulated testbed.  The
 public API mirrors the system's layers:
 
->>> from repro import paper_cluster, build_vgg19, allocate
->>> from repro import plan_virtual_worker, measure_hetpipe, measure_horovod
->>> cluster = paper_cluster()
->>> model = build_vgg19()
->>> assignment = allocate(cluster, "ED")
->>> plans = [plan_virtual_worker(model, vw, 4, cluster.interconnect,
-...                              search_orderings=False)
-...          for vw in assignment.virtual_workers]
->>> metrics = measure_hetpipe(cluster, model, plans, d=0, placement="local")
+>>> from repro import ModelSpec, PipelineSpec, RunSpec, measure_run
+>>> run = RunSpec(
+...     model=ModelSpec("vgg19"),
+...     pipeline=PipelineSpec(nm=4, allocation="ED", placement="local"),
+... )
+>>> metrics = measure_run(run)  # paper cluster, natural-order DP plans
 >>> metrics.throughput > 0
 True
 
@@ -89,7 +86,6 @@ _EXPORTS = {
     "admission_limit": "repro.wsp",
     "global_staleness": "repro.wsp",
     "local_staleness": "repro.wsp",
-    "measure_hetpipe": "repro.wsp",
 }
 
 __version__ = "1.0.0"
@@ -176,5 +172,4 @@ if TYPE_CHECKING:  # static analyzers see the eager imports
         admission_limit,
         global_staleness,
         local_staleness,
-        measure_hetpipe,
     )

@@ -573,8 +573,9 @@ def _dispatch(args) -> int:
                 f"got kind={spec.kind!r}"
                 + (" with a sweep section (use `repro sweep`)" if spec.sweep else "")
             )
-        payload = trace_run(spec)
+        # Open --out first: an unwritable path fails before the run.
         with open(args.out, "w") as fh:
+            payload = trace_run(spec)
             json.dump(payload, fh)
             fh.write("\n")
         meta = payload["otherData"]

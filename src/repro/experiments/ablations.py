@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.allocation import allocate
+from repro.api.build import build_calibration
 from repro.cluster import paper_cluster
-from repro.experiments.common import build_model, choose_nm, plan_assignment
+from repro.experiments.common import build_model, choose_nm, deployment_spec, with_pipeline
 from repro.experiments.report import format_table
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.partition import max_feasible_nm, plan_virtual_worker
 from repro.pipeline import OneFOneBPipeline, measure_pipeline
 from repro.units import mib
-from repro.wsp import measure_hetpipe
+from repro.wsp import measure_run
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,24 @@ class AblationResult:
 
 def run_ablations(
     model_name: str = "resnet152",
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
 ) -> AblationResult:
     model = build_model(model_name)
     cluster = paper_cluster()
+    calib = build_calibration(calibration)
     rows: list[AblationRow] = []
 
     # 1. wave push vs per-minibatch push (ED default placement, where
     # sync traffic crosses the network and the difference is visible)
     assignment = allocate(cluster, "ED")
-    choice = choose_nm(model, assignment, cluster, calibration, placement="default")
+    run = deployment_spec(model_name, calibration=calibration, allocation="ED")
+    choice = choose_nm(model, assignment, cluster, run)
     for variant, per_minibatch in (("per-wave", False), ("per-minibatch", True)):
-        metrics = measure_hetpipe(
-            cluster, model, choice.plans, d=0, placement="default",
-            calibration=calibration, measured_waves=6,
-            push_every_minibatch=per_minibatch,
+        metrics = measure_run(
+            with_pipeline(
+                run, nm=choice.nm, measured_waves=6, push_every_minibatch=per_minibatch
+            ),
+            cluster=cluster, model=model, plans=choice.plans,
         )
         rows.append(AblationRow("push-granularity", variant, metrics.throughput, "img/s"))
         rows.append(
@@ -80,7 +83,7 @@ def run_ablations(
     vw = assignment.virtual_workers[0]
     for variant, search in (("natural", False), ("searched", True)):
         plan = plan_virtual_worker(
-            model, vw, choice.nm, cluster.interconnect, calibration,
+            model, vw, choice.nm, cluster.interconnect, calib,
             search_orderings=search,
         )
         metrics = measure_pipeline(plan, cluster.interconnect, model.batch_size, measured_minibatches=40)
@@ -105,8 +108,8 @@ def run_ablations(
 
     # 3c. GPipe-style activation recomputation: more Maxm, slower steps
     vw0 = assignment.virtual_workers[0]
-    recompute_cal = calibration.with_overrides(activation_recompute=True)
-    for variant, cal in (("off", calibration), ("on", recompute_cal)):
+    recompute_cal = calib.with_overrides(activation_recompute=True)
+    for variant, cal in (("off", calib), ("on", recompute_cal)):
         cap = max_feasible_nm(
             model, vw0, cluster.interconnect, cal, limit=10, search_orderings=False
         )
@@ -122,11 +125,12 @@ def run_ablations(
 
     # 4. D sweep under NP (heterogeneous virtual workers -> stragglers)
     np_assignment = allocate(cluster, "NP")
-    np_choice = choose_nm(model, np_assignment, cluster, calibration, placement="default")
+    np_run = with_pipeline(run, allocation="NP")
+    np_choice = choose_nm(model, np_assignment, cluster, np_run)
+    np_run = with_pipeline(np_run, nm=np_choice.nm, measured_waves=6, jitter=0.05)
     for d in (0, 4, 32):
-        metrics = measure_hetpipe(
-            cluster, model, np_choice.plans, d=d, placement="default",
-            calibration=calibration, measured_waves=6, jitter=0.05,
+        metrics = measure_run(
+            with_pipeline(np_run, d=d), cluster=cluster, model=model, plans=np_choice.plans
         )
         rows.append(AblationRow("np-d-sweep", f"D={d}", metrics.throughput, "img/s"))
 

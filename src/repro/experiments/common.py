@@ -11,16 +11,18 @@ every virtual worker uses the same value", §8.3).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Any
 
 from repro.allocation import VirtualWorkerAssignment, allocate
+from repro.api.build import build_calibration
 from repro.api.registry import MODELS
+from repro.api.spec import ClusterSpec, ModelSpec, PipelineSpec, RunSpec
 from repro.cluster import Cluster, paper_cluster
+from repro.cluster.catalog import DEFAULT_PROFILE
 from repro.cluster.gpu import GPUDevice
 from repro.errors import PartitionError
 from repro.models import ModelGraph
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.models.profiler import Profiler
 from repro.partition import PartitionPlan, max_feasible_nm, plan_virtual_worker
 
@@ -69,17 +71,47 @@ def plan_assignment(
     assignment: VirtualWorkerAssignment,
     nm: int,
     cluster: Cluster,
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
     profiler: Profiler | None = None,
 ) -> list[PartitionPlan]:
     """Paper-faithful plans (natural order) for every virtual worker."""
-    profiler = profiler or Profiler(calibration)
+    calib = build_calibration(calibration)
+    profiler = profiler or Profiler(calib)
     return [
         plan_virtual_worker(
-            model, vw, nm, cluster.interconnect, calibration, profiler, **PAPER_PLANNING
+            model, vw, nm, cluster.interconnect, calib, profiler, **PAPER_PLANNING
         )
         for vw in assignment.virtual_workers
     ]
+
+
+def deployment_spec(
+    model_name: str,
+    node_codes: str = "VRGQ",
+    *,
+    profile: str = DEFAULT_PROFILE,
+    calibration: str = "default",
+    **pipeline: Any,
+) -> RunSpec:
+    """The scenario-kind spec of one paper deployment.
+
+    ``pipeline`` sets :class:`~repro.api.spec.PipelineSpec` fields; the
+    experiments warm up for 4 global waves, and ``nm`` stays 1 until
+    :func:`choose_nm` picks it.  The spec's default ``"dp"`` planner is
+    the natural-order DP that :func:`plan_assignment` runs.
+    """
+    pipeline = {"nm": 1, "warmup_waves": 4, **pipeline}
+    return RunSpec(
+        cluster=ClusterSpec(node_codes=node_codes, profile=profile),
+        model=ModelSpec(model_name),
+        pipeline=PipelineSpec(**pipeline),
+        calibration=calibration,
+    )
+
+
+def with_pipeline(run: RunSpec, **changes: Any) -> RunSpec:
+    """``run`` with ``changes`` applied to its pipeline section."""
+    return replace(run, pipeline=replace(run.pipeline, **changes))
 
 
 @dataclass(frozen=True)
@@ -95,28 +127,29 @@ def choose_nm(
     model: ModelGraph,
     assignment: VirtualWorkerAssignment,
     cluster: Cluster,
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    run: RunSpec | None = None,
     max_nm: int = MAX_NM,
-    placement: str | None = None,
-    d: int = 0,
 ) -> NmChoice:
     """Pick the shared ``Nm`` "such that performance is maximized" (§8.3).
 
     ``Nm`` must be identical in every virtual worker, so the cap is the
-    minimum ``Maxm`` (§4).  With ``placement`` given, each candidate is
-    *measured* with a short end-to-end run (pipeline + parameter server
-    at the given ``D``) — this captures the wave-size/sync-amortization
-    trade-off that makes the paper run VGG-19 at ``Nm = 5``.  Without a
-    placement, a pipe-only analytic proxy ranks candidates (cheap; used
-    by unit tests).
+    minimum ``Maxm`` (§4).  With a deployment spec ``run``, each
+    candidate is *measured* with a short end-to-end run of ``run`` at
+    that ``Nm`` (pipeline + parameter server, 2 warmup and 4 measured
+    waves) — this captures the wave-size/sync-amortization trade-off
+    that makes the paper run VGG-19 at ``Nm = 5``.  Without one, a
+    pipe-only analytic proxy at the default calibration ranks
+    candidates (cheap; used by unit tests).
     """
     # Imported here to avoid a circular import (wsp.measure -> plans).
-    from repro.wsp import measure_hetpipe
+    from repro.wsp import measure_run
 
-    profiler = Profiler(calibration)
+    calibration = "default" if run is None else run.calibration
+    calib = build_calibration(calibration)
+    profiler = Profiler(calib)
     cap = min(
         max_feasible_nm(
-            model, vw, cluster.interconnect, calibration, profiler, limit=max_nm,
+            model, vw, cluster.interconnect, calib, profiler, limit=max_nm,
             **PAPER_PLANNING,
         )
         for vw in assignment.virtual_workers
@@ -129,11 +162,9 @@ def choose_nm(
     best_rate = -1.0
     for nm in range(1, cap + 1):
         plans = plan_assignment(model, assignment, nm, cluster, calibration, profiler)
-        if placement is not None:
-            metrics = measure_hetpipe(
-                cluster, model, plans, d=d, placement=placement,
-                calibration=calibration, warmup_waves=2, measured_waves=4,
-            )
+        if run is not None:
+            probe = with_pipeline(run, nm=nm, warmup_waves=2, measured_waves=4)
+            metrics = measure_run(probe, cluster=cluster, model=model, plans=plans)
             rate = metrics.throughput
         else:
             # Saturated rate of the slowest VW: a pipe holding nm

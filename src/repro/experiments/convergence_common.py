@@ -18,9 +18,10 @@ from repro.experiments.common import (
     TARGET_ACCURACY,
     build_model,
     choose_nm,
+    deployment_spec,
     hetpipe_assignment_for_subset,
+    with_pipeline,
 )
-from repro.models.calibration import Calibration
 from repro.training import (
     BSPTrainer,
     BSPTrainingConfig,
@@ -30,7 +31,7 @@ from repro.training import (
 )
 from repro.training.convergence import Curve
 from repro.training.nn import make_classification
-from repro.wsp import measure_hetpipe
+from repro.wsp import measure_run
 
 #: Numeric-trainer settings shared by Fig. 5 and Fig. 6.
 CONV_LR = 0.01
@@ -105,16 +106,19 @@ def hetpipe_run(
     model_name: str,
     subset: str,
     d: int,
-    calibration: Calibration,
+    calibration: str,
     placement: str = "local",
 ) -> ConvergenceRun:
     """Perf-sim a HetPipe deployment, then train numerically at its pace."""
     model = build_model(model_name)
     cluster, assignment = hetpipe_assignment_for_subset(subset)
-    choice = choose_nm(model, assignment, cluster, calibration, placement=placement, d=d)
-    perf = measure_hetpipe(
-        cluster, model, choice.plans, d=d, placement=placement,
-        calibration=calibration, measured_waves=8,
+    run = deployment_spec(
+        model_name, subset, calibration=calibration, allocation=assignment.policy,
+        placement=placement, d=d, measured_waves=8,
+    )
+    choice = choose_nm(model, assignment, cluster, run)
+    perf = measure_run(
+        with_pipeline(run, nm=choice.nm), cluster=cluster, model=model, plans=choice.plans
     )
     intervals = tuple(
         perf.window / done if done else float("inf") for done in perf.per_vw_minibatches

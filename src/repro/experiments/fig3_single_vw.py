@@ -13,11 +13,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from repro.api.build import build_calibration
 from repro.cluster import paper_cluster
 from repro.errors import PartitionError
 from repro.experiments.common import MAX_NM, PAPER_PLANNING, build_model, fig3_virtual_workers
 from repro.experiments.report import format_table
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.models.profiler import Profiler
 from repro.partition import max_feasible_nm, plan_virtual_worker
 from repro.pipeline import measure_pipeline
@@ -77,7 +77,7 @@ class Fig3Result:
 
 
 def _mix_rows(
-    args: tuple[str, str, Calibration, int, int],
+    args: tuple[str, str, str, int, int],
 ) -> list[Fig3Row]:
     """All rows of one GPU mix (the per-worker sweep item).
 
@@ -89,17 +89,18 @@ def _mix_rows(
     model_name, mix, calibration, max_nm, measured_minibatches = args
     model = build_model(model_name)
     cluster = paper_cluster()
-    profiler = Profiler(calibration)
+    calib = build_calibration(calibration)
+    profiler = Profiler(calib)
     gpus = fig3_virtual_workers(cluster)[mix]
     cap = max_feasible_nm(
-        model, gpus, cluster.interconnect, calibration, profiler, limit=max_nm
+        model, gpus, cluster.interconnect, calib, profiler, limit=max_nm
     )
     rows: list[Fig3Row] = []
     base = None
     for nm in range(1, cap + 1):
         try:
             plan = plan_virtual_worker(
-                model, gpus, nm, cluster.interconnect, calibration, profiler,
+                model, gpus, nm, cluster.interconnect, calib, profiler,
                 **PAPER_PLANNING,
             )
         except PartitionError:
@@ -125,7 +126,7 @@ def _mix_rows(
 
 def run_fig3(
     model_name: str,
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
     max_nm: int = MAX_NM,
     measured_minibatches: int = 40,
     jobs: int | None = 1,

@@ -12,15 +12,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from repro.api.build import build_calibration
 from repro.cluster import paper_cluster
 from repro.allocation import allocate
 from repro.errors import MemoryCapacityError
-from repro.experiments.common import build_model, choose_nm
+from repro.experiments.common import build_model, choose_nm, deployment_spec, with_pipeline
 from repro.experiments.report import format_table
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.parallel import measure_horovod
 from repro.units import mib
-from repro.wsp import measure_hetpipe
+from repro.wsp import measure_run
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +74,7 @@ class Fig4Result:
 
 
 def _policy_bar(
-    args: tuple[str, str, str, Calibration, int, int],
+    args: tuple[str, str, str, str, int, int],
 ) -> Fig4Bar:
     """One bar of the figure (the :func:`repro.exec.sweep_map` item).
 
@@ -87,7 +87,7 @@ def _policy_bar(
     cluster = paper_cluster()
     if policy == "horovod":
         try:
-            horovod = measure_horovod(cluster, model, calibration)
+            horovod = measure_horovod(cluster, model, build_calibration(calibration))
             return Fig4Bar(
                 label="Horovod",
                 nm=None,
@@ -99,17 +99,13 @@ def _policy_bar(
         except MemoryCapacityError:
             return Fig4Bar("Horovod", None, 0.0, 0, 0.0, 0.0)
     assignment = allocate(cluster, policy)
-    choice = choose_nm(
-        model, assignment, cluster, calibration, placement=placement, d=d
+    run = deployment_spec(
+        model_name, calibration=calibration, allocation=policy, placement=placement,
+        d=d, measured_waves=measured_waves,
     )
-    metrics = measure_hetpipe(
-        cluster,
-        model,
-        choice.plans,
-        d=d,
-        placement=placement,
-        calibration=calibration,
-        measured_waves=measured_waves,
+    choice = choose_nm(model, assignment, cluster, run)
+    metrics = measure_run(
+        with_pipeline(run, nm=choice.nm), cluster=cluster, model=model, plans=choice.plans
     )
     label = f"{policy}-local" if placement == "local" else policy
     return Fig4Bar(
@@ -124,7 +120,7 @@ def _policy_bar(
 
 def run_fig4(
     model_name: str,
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
     d: int = 0,
     measured_waves: int = 8,
     jobs: int | None = 1,

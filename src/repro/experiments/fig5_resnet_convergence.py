@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.build import build_calibration
 from repro.experiments.common import TARGET_ACCURACY, build_model, hetpipe_assignment_for_subset
 from repro.experiments.convergence_common import ConvergenceRun, hetpipe_run, horovod_run
 from repro.experiments.report import format_table
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.parallel import measure_horovod
 
 PAPER_SPEEDUPS = {"HetPipe-12": 0.35, "HetPipe-16": 0.39}
@@ -59,14 +59,14 @@ class Fig5Result:
 
 def run_fig5(
     model_name: str = "resnet152",
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
 ) -> Fig5Result:
     """Horovod-12 vs HetPipe-12 vs HetPipe-16 accuracy-over-time."""
     model = build_model(model_name)
     target = TARGET_ACCURACY[model_name]
 
     cluster12, _ = hetpipe_assignment_for_subset("VRQ")
-    horovod = measure_horovod(cluster12, model, calibration)
+    horovod = measure_horovod(cluster12, model, build_calibration(calibration))
     runs = {
         "Horovod-12": horovod_run(
             "Horovod-12", horovod.num_gpus, horovod.iteration_time,

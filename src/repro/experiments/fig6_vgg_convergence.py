@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.build import build_calibration
 from repro.cluster import paper_cluster
 from repro.experiments.common import TARGET_ACCURACY, build_model
 from repro.experiments.convergence_common import ConvergenceRun, hetpipe_run, horovod_run
 from repro.experiments.report import format_table
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.parallel import measure_horovod
 
 PAPER_SPEEDUP_VS_HOROVOD = {"D=0": 0.29, "D=4": 0.49}
@@ -59,7 +59,7 @@ class Fig6Result:
 
 def run_fig6(
     model_name: str = "vgg19",
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
     d_values: tuple[int, ...] = (0, 4, 32),
 ) -> Fig6Result:
     """Horovod vs HetPipe at several global staleness bounds."""
@@ -67,7 +67,7 @@ def run_fig6(
     target = TARGET_ACCURACY[model_name]
     cluster = paper_cluster()
 
-    horovod = measure_horovod(cluster, model, calibration)
+    horovod = measure_horovod(cluster, model, build_calibration(calibration))
     runs = {
         "Horovod": horovod_run(
             "Horovod", horovod.num_gpus, horovod.iteration_time,

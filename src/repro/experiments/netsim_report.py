@@ -11,16 +11,16 @@ contention-aware planner would consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.allocation import allocate
+from repro.api.spec import NetworkSpec
 from repro.cluster.catalog import DEFAULT_PROFILE, paper_cluster
-from repro.errors import ConfigurationError
-from repro.experiments.common import build_model, choose_nm, plan_assignment
+from repro.experiments.common import build_model, choose_nm, deployment_spec, plan_assignment
 from repro.experiments.report import format_table
 from repro.netsim.fabric import utilization_report
-from repro.wsp import measure_hetpipe
-from repro.wsp.runtime import HetPipeRuntime
+from repro.wsp import HetPipeRuntime, measure_run
+from repro.wsp.measure import measure_runtime
 
 
 @dataclass(frozen=True)
@@ -117,34 +117,21 @@ def run_netsim(
     if nm is None:
         nm = choose_nm(model, assignment, cluster).nm
     plans = plan_assignment(model, assignment, nm, cluster)
-
-    dedicated = measure_hetpipe(
-        cluster, model, plans, d=d, placement=placement,
-        shards=shards, shard_placement=shard_placement,
+    run = deployment_spec(
+        model_name, node_codes, profile=profile, allocation=allocation, nm=nm, d=d,
+        placement=placement, shards=shards, shard_placement=shard_placement,
         warmup_waves=warmup_waves, measured_waves=measured_waves,
     )
-    # The shared run uses the runtime directly so the fabric object (and
-    # its per-resource counters) stays inspectable after the run.
-    runtime = HetPipeRuntime(
-        cluster, model, plans, d=d, placement=placement,
-        shards=shards, shard_placement=shard_placement,
-        network_model="shared",
+    dedicated = measure_run(run, cluster=cluster, model=model, plans=plans)
+    # The shared run keeps its runtime so the fabric object (and its
+    # per-resource counters) stays inspectable after the run.
+    runtime = HetPipeRuntime.from_spec(
+        replace(run, network=NetworkSpec("shared")),
+        cluster=cluster, model=model, plans=plans,
     )
-    runtime.start()
-    runtime.run_until_global_version(warmup_waves - 1)
-    t0 = runtime.sim.now
-    done0 = runtime.total_minibatches_done()
-    runtime.run_until_global_version(warmup_waves + measured_waves - 1)
-    window = runtime.sim.now - t0
-    if window <= 0:
-        raise ConfigurationError("empty netsim measurement window")
-    shared_throughput = (
-        (runtime.total_minibatches_done() - done0) * model.batch_size / window
-    )
+    shared = measure_runtime(runtime, warmup_waves, measured_waves)
     assert runtime.fabric is not None
     runtime.fabric.verify(elapsed=runtime.sim.now)
-    delay, depth = runtime.fabric.queue_stats()
-    ps_delay, ps_depth = runtime.ps_queue_stats()
     rows = utilization_report(runtime.fabric, elapsed=runtime.sim.now)
     rows.sort(key=lambda r: (r[4], r[2]), reverse=True)  # queue delay, then util
 
@@ -157,13 +144,13 @@ def run_netsim(
         placement=placement,
         profile=profile,
         dedicated_throughput=dedicated.throughput,
-        shared_throughput=shared_throughput,
-        queue_delay_total=delay,
-        max_queue_depth=depth,
+        shared_throughput=shared.throughput,
+        queue_delay_total=shared.net_queue_delay_total,
+        max_queue_depth=shared.net_max_queue_depth,
         resources=tuple(rows),
         top=top,
         shards=shards,
         shard_placement=shard_placement,
-        ps_queue_delay_total=ps_delay,
-        ps_max_queue_depth=ps_depth,
+        ps_queue_delay_total=shared.ps_queue_delay_total,
+        ps_max_queue_depth=shared.ps_max_queue_depth,
     )

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from repro.cluster import paper_cluster
 from repro.allocation import allocate
-from repro.experiments.common import build_model, choose_nm
+from repro.experiments.common import build_model, choose_nm, deployment_spec, with_pipeline
 from repro.experiments.report import format_table
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.wsp import measure_hetpipe
+from repro.wsp import measure_run
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class SyncOverheadResult:
 
 def run_sync_overhead(
     model_name: str = "vgg19",
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
     d_values: tuple[int, ...] = (0, 4, 32),
     jitter: float = 0.08,
     measured_waves: int = 16,
@@ -65,13 +64,16 @@ def run_sync_overhead(
     model = build_model(model_name)
     cluster = paper_cluster()
     assignment = allocate(cluster, "ED")
-    choice = choose_nm(model, assignment, cluster, calibration, placement="local")
+    run = deployment_spec(
+        model_name, calibration=calibration, allocation="ED", placement="local"
+    )
+    choice = choose_nm(model, assignment, cluster, run)
+    run = with_pipeline(run, nm=choice.nm, measured_waves=measured_waves, jitter=jitter)
     rows: list[SyncOverheadRow] = []
     base_wait: float | None = None
     for d in d_values:
-        metrics = measure_hetpipe(
-            cluster, model, choice.plans, d=d, placement="local",
-            calibration=calibration, measured_waves=measured_waves, jitter=jitter,
+        metrics = measure_run(
+            with_pipeline(run, d=d), cluster=cluster, model=model, plans=choice.plans
         )
         if base_wait is None:
             base_wait = metrics.avg_wait_per_wave

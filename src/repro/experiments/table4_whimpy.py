@@ -11,12 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.build import build_calibration
 from repro.errors import MemoryCapacityError
-from repro.experiments.common import build_model, choose_nm, hetpipe_assignment_for_subset
+from repro.experiments.common import (
+    build_model,
+    choose_nm,
+    deployment_spec,
+    hetpipe_assignment_for_subset,
+    with_pipeline,
+)
 from repro.experiments.report import format_table
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.parallel import measure_horovod
-from repro.wsp import measure_hetpipe
+from repro.wsp import measure_run
 
 SUBSETS = ("V", "VR", "VRQ", "VRQG")
 
@@ -80,7 +86,7 @@ class Table4Result:
         )
 
 
-def _subset_row(args: tuple[str, str, Calibration, int]) -> Table4Row:
+def _subset_row(args: tuple[str, str, str, int]) -> Table4Row:
     """One GPU-subset row (the :func:`repro.exec.sweep_map` item).
 
     Module-level and argument-pure so subsets can run in worker
@@ -90,25 +96,22 @@ def _subset_row(args: tuple[str, str, Calibration, int]) -> Table4Row:
     model = build_model(model_name)
     cluster, assignment = hetpipe_assignment_for_subset(subset)
     try:
-        hv = measure_horovod(cluster, model, calibration)
+        hv = measure_horovod(cluster, model, build_calibration(calibration))
         # The paper's 'X': Horovod cannot use this GPU set in full
         # (ResNet-152 does not fit the G GPUs at 16).
         horovod: float | None = hv.throughput if hv.excluded_gpus == 0 else None
     except MemoryCapacityError:
         horovod = None
-    choice = choose_nm(model, assignment, cluster, calibration, placement="local")
     # a single-node VW cannot use 'local' placement benefits/penalties
     # distinction; placement local is still valid (all shards on the
     # one node)
-    placement = "local"
-    metrics = measure_hetpipe(
-        cluster,
-        model,
-        choice.plans,
-        d=0,
-        placement=placement,
-        calibration=calibration,
-        measured_waves=measured_waves,
+    run = deployment_spec(
+        model_name, subset, calibration=calibration, allocation=assignment.policy,
+        placement="local", measured_waves=measured_waves,
+    )
+    choice = choose_nm(model, assignment, cluster, run)
+    metrics = measure_run(
+        with_pipeline(run, nm=choice.nm), cluster=cluster, model=model, plans=choice.plans
     )
     return Table4Row(
         subset=subset,
@@ -123,7 +126,7 @@ def _subset_row(args: tuple[str, str, Calibration, int]) -> Table4Row:
 
 def run_table4(
     model_name: str,
-    calibration: Calibration = DEFAULT_CALIBRATION,
+    calibration: str = "default",
     measured_waves: int = 8,
     jobs: int | None = 1,
 ) -> Table4Result:

@@ -1,9 +1,10 @@
 """The in-run telemetry collector.
 
 One :class:`ObsCollector` is attached per instrumented run (via
-``HetPipeRuntime(..., obs=...)`` or ``measure_run``): the runtime sets
-``Simulator.obs`` before any resource is constructed, so processors,
-channels, and shared-fabric links register themselves at creation —
+``HetPipeRuntime.from_spec(..., obs=...)`` or ``measure_run``): the
+runtime sets ``Simulator.obs`` before any resource is constructed, so
+processors, channels, and shared-fabric links register themselves at
+creation —
 including the parameter server's lazily-created per-stream channels and
 per-shard apply processors — and report exact busy spans as they finish
 work.  Trace records flow in through :meth:`ObsCollector.on_trace` (a

@@ -11,7 +11,7 @@
 * :mod:`repro.wsp.measure` — steady-state measurement harness.
 """
 
-from repro.wsp.measure import HetPipeMetrics, measure_hetpipe, measure_run
+from repro.wsp.measure import HetPipeMetrics, measure_run
 from repro.wsp.parameter_server import ParameterServerSim
 from repro.wsp.placement import (
     PlacementRequest,
@@ -48,7 +48,6 @@ __all__ = [
     "local_placement",
     "locality_aware_placement",
     "local_staleness",
-    "measure_hetpipe",
     "measure_run",
     "missing_updates",
     "round_robin_placement",

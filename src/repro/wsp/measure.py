@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.cluster.topology import Cluster
-from repro.errors import SpecError
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.models.graph import ModelGraph
-from repro.partition.spec import PartitionPlan
 from repro.wsp.runtime import HetPipeRuntime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.spec import RunSpec
+    from repro.cluster.topology import Cluster
+    from repro.models.graph import ModelGraph
+    from repro.partition.spec import PartitionPlan
     from repro.obs.core import ObsCollector, ObsReport
 
 
@@ -67,79 +65,50 @@ class HetPipeMetrics:
         return self.nm * self.num_virtual_workers
 
 
-def measure_hetpipe(
-    cluster: Cluster,
-    model: ModelGraph,
-    plans: Sequence[PartitionPlan],
-    d: int = 0,
-    placement: str = "default",
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    warmup_waves: int = 4,
-    measured_waves: int = 12,
-    push_every_minibatch: bool = False,
-    jitter: float = 0.0,
-    network_model: str = "dedicated",
-    shards: int = 1,
-    shard_placement: str = "size_balanced",
+def measure_run(
+    run: "RunSpec",
+    *,
+    cluster: "Cluster | None" = None,
+    model: "ModelGraph | None" = None,
+    plans: "Sequence[PartitionPlan] | None" = None,
+    obs: "ObsCollector | None" = None,
 ) -> HetPipeMetrics:
-    """Measure aggregate steady-state behaviour of a HetPipe deployment."""
-    for arg, value in (("warmup_waves", warmup_waves), ("measured_waves", measured_waves)):
-        if value < 1:
-            raise SpecError(f"measure_hetpipe: {arg} must be >= 1, got {value}")
-    runtime = HetPipeRuntime(
-        cluster,
-        model,
-        plans,
-        d=d,
-        placement=placement,
-        shards=shards,
-        shard_placement=shard_placement,
-        calibration=calibration,
-        push_every_minibatch=push_every_minibatch,
-        jitter=jitter,
-        network_model=network_model,
-    )
-    return _measure_runtime(runtime, warmup_waves, measured_waves)
+    """Measure a HetPipe deployment's steady state: everything from one
+    scenario-kind :class:`~repro.api.spec.RunSpec`.
 
-
-def measure_run(run: "RunSpec", obs: "ObsCollector | None" = None) -> HetPipeMetrics:
-    """Spec-driven measurement: everything from one typed RunSpec.
-
-    Builds the cluster/model/plans through :mod:`repro.api.build` (so
-    names resolve through the registries) and the runtime through
-    :meth:`HetPipeRuntime.from_spec`, then runs the same warmup+window
-    measurement as :func:`measure_hetpipe` — the two paths share the
-    measurement core and are bit-identical for equivalent inputs.
+    The runtime comes from :meth:`HetPipeRuntime.from_spec`:
+    ``cluster``/``model``/``plans`` may be passed pre-built (the
+    experiments plan once and measure several specs); left as ``None``
+    they are built from the spec.  The run warms up for
+    ``pipeline.warmup_waves`` global waves, then measures
+    ``pipeline.measured_waves * fidelity.waves_scale`` more.
 
     With an enabled ``observability`` section (or an explicit ``obs``
     collector, which takes precedence) the run is instrumented and the
     returned metrics carry an :class:`~repro.obs.core.ObsReport`.
     """
-    from repro.api.build import build_scenario
-
     if obs is None and run.observability is not None:
         from repro.obs.core import ObsCollector
 
         obs = ObsCollector(run.observability)
-    scenario = build_scenario(run)
     runtime = HetPipeRuntime.from_spec(
-        run,
-        cluster=scenario.cluster,
-        model=scenario.model,
-        plans=list(scenario.plans),
-        obs=obs,
+        run, cluster=cluster, model=model, plans=plans, obs=obs
     )
-    return _measure_runtime(
+    return measure_runtime(
         runtime,
         run.pipeline.warmup_waves,
         run.pipeline.measured_waves * run.fidelity.waves_scale,
     )
 
 
-def _measure_runtime(
+def measure_runtime(
     runtime: HetPipeRuntime, warmup_waves: int, measured_waves: int
 ) -> HetPipeMetrics:
-    """Drive a built runtime through warmup + window and read the §8 numbers."""
+    """Drive a built runtime through warmup + window and read the §8 numbers.
+
+    The core of :func:`measure_run`; call it on a runtime from
+    :meth:`HetPipeRuntime.from_spec` to inspect the runtime afterwards.
+    """
     model = runtime.model
     plans = runtime.plans
     runtime.start()

@@ -15,12 +15,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cluster.topology import Cluster
 from repro.errors import ConfigurationError, SimulationError
-from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.models.graph import ModelGraph
-from repro.netsim import NETWORK_MODELS
 from repro.netsim.fabric import DEFAULT_FABRIC_SPEC, Fabric, FabricSpec
 from repro.partition.spec import PartitionPlan
-from repro.pipeline.variants import DEFAULT_VARIANT, build_variant_gate, get_variant
+from repro.pipeline.variants import build_variant_gate, get_variant
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.sim.engine import Simulator
 from repro.sim.fastforward import (
@@ -80,35 +78,25 @@ class HetPipeRuntime:
 
     def __init__(
         self,
+        run: "RunSpec",
         cluster: Cluster,
         model: ModelGraph,
         plans: Sequence[PartitionPlan],
-        d: int = 0,
-        placement: str = "default",
-        shards: int = 1,
-        shard_placement: str = "size_balanced",
-        calibration: Calibration = DEFAULT_CALIBRATION,
-        trace: Trace | None = None,
-        push_every_minibatch: bool = False,
-        jitter: float = 0.0,
-        oracles: "Sequence[RuntimeOracle]" = (),
-        network_model: str = "dedicated",
-        fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
-        obs=None,
-        planner: str = "dp",
-        variant: str = DEFAULT_VARIANT,
+        *,
+        trace: Trace | None,
+        oracles: "Sequence[RuntimeOracle]",
+        fabric_spec: FabricSpec,
+        obs,
     ) -> None:
+        """Wire the run's workers and PS; call :meth:`from_spec` instead."""
+        from repro.api.build import build_calibration
+
         if not plans:
             raise ConfigurationError("need at least one virtual worker plan")
         nms = {plan.nm for plan in plans}
         if len(nms) > 1:
             raise ConfigurationError(f"Nm must match across virtual workers, got {sorted(nms)}")
-        if network_model not in NETWORK_MODELS:
-            raise ConfigurationError(
-                f"unknown network_model {network_model!r}; expected one of {NETWORK_MODELS}"
-            )
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise ConfigurationError(f"shards must be an int >= 1, got {shards!r}")
+        pipe = run.pipeline
         self.cluster = cluster
         self.model = model
         self.plans = list(plans)
@@ -116,20 +104,20 @@ class HetPipeRuntime:
         #: admission gates, staleness contract) — see
         #: :mod:`repro.pipeline.variants`.  Resolution raises the typed
         #: UnknownNameError on a name outside the zoo.
-        self.variant = variant
-        self.variant_def = get_variant(variant)
-        self.d = d
+        self.variant = pipe.variant
+        self.variant_def = get_variant(pipe.variant)
+        self.d = pipe.d
         self.nm = self.plans[0].nm
-        self.placement_policy = placement
-        self.shards = shards
-        self.shard_placement_policy = shard_placement
-        self.calibration = calibration
-        self.push_every_minibatch = push_every_minibatch
-        self.network_model = network_model
-        self.jitter = jitter
+        self.placement_policy = pipe.placement
+        self.shards = pipe.shards
+        self.shard_placement_policy = pipe.shard_placement
+        self.calibration = build_calibration(run.calibration)
+        self.push_every_minibatch = pipe.push_every_minibatch
+        self.network_model = run.network.model
+        self.jitter = pipe.jitter
         #: planner registry name — elastic re-partitioning re-runs it on
         #: the surviving GPUs after a permanent node loss
-        self.planner = planner
+        self.planner = pipe.planner
         self._fabric_spec = fabric_spec
         #: fault-injection driver (repro.faults.FaultInjector); None on
         #: every fault-free run
@@ -150,7 +138,7 @@ class HetPipeRuntime:
         self.sim.obs = obs
         #: shared contention-aware fabric; None under the dedicated model
         self.fabric: Fabric | None = (
-            Fabric(self.sim, cluster, fabric_spec) if network_model == "shared" else None
+            Fabric(self.sim, cluster, fabric_spec) if self.network_model == "shared" else None
         )
         self.trace = trace if trace is not None else Trace(enabled=False)
         if obs is not None:
@@ -159,18 +147,11 @@ class HetPipeRuntime:
             self.trace.subscribe(obs.on_trace)
         self.oracles = list(oracles)
         self.ps = ParameterServerSim(
-            self.sim, cluster, len(self.plans), calibration, fabric=self.fabric,
-            shards=shards,
+            self.sim, cluster, len(self.plans), self.calibration, fabric=self.fabric,
+            shards=self.shards,
         )
-        node_ids = [node.node_id for node in cluster.nodes]
-        # Unsharded runs keep the historical policies; with K > 1 shard
-        # slots the shard placement policy picks the slot hosts instead.
-        effective_policy = shard_placement if shards > 1 else placement
-        self.placements: list[StagePlacement] = build_placements(
-            model, self.plans, node_ids, effective_policy,
-            shards=shards, cluster=cluster,
-            fabric_spec=fabric_spec if network_model == "shared" else None,
-        )
+        self.placements: list[StagePlacement] = []
+        self.rebuild_placements([node.node_id for node in cluster.nodes])
 
         #: per-VW admission gates: the bare _WSPGate for the default
         #: variant (bit-identical to the pre-zoo tree), or a ComposedGate
@@ -183,7 +164,7 @@ class HetPipeRuntime:
         self._wait_started: list[float | None] = [None] * len(self.plans)
 
         for index, plan in enumerate(self.plans):
-            gate = build_variant_gate(self.variant_def, _WSPGate(d, self.nm), self.nm)
+            gate = build_variant_gate(self.variant_def, _WSPGate(self.d, self.nm), self.nm)
             pipeline = VirtualWorkerPipeline(
                 self.sim,
                 plan,
@@ -193,7 +174,7 @@ class HetPipeRuntime:
                 on_minibatch_done=(lambda p, t, index=index: self._on_minibatch_done(index, p, t)),
                 on_inject=(lambda p, t, index=index: self._on_inject(index, p, t)),
                 trace=self.trace,
-                jitter=jitter,
+                jitter=self.jitter,
                 fabric=self.fabric,
             )
             for state in pipeline.stages:
@@ -251,9 +232,18 @@ class HetPipeRuntime:
             self._done_oracles = []
             self._pull_oracles = []
 
-        #: steady-state fast-forward; :meth:`from_spec` arms it under the
-        #: fast_forward fidelity
+        #: steady-state fast-forward under the fast_forward fidelity.  It
+        #: is armed only for regimes whose cycles can repeat exactly —
+        #: task jitter is aperiodic by construction, and the shared
+        #: fabric keeps a per-flow ledger that a skip cannot summarize.
+        #: Ineligible runs silently execute at full fidelity.
         self._ff: _RuntimeFastForward | None = None
+        if (
+            run.fidelity.fidelity == "fast_forward"
+            and self.jitter == 0.0
+            and self.fabric is None
+        ):
+            self._ff = _RuntimeFastForward(self)
 
         if obs is not None:
             obs.install_sampler(self.sim)
@@ -271,53 +261,28 @@ class HetPipeRuntime:
         fabric_spec: FabricSpec = DEFAULT_FABRIC_SPEC,
         obs=None,
     ) -> "HetPipeRuntime":
-        """The canonical constructor: behavior from a typed RunSpec.
+        """The one constructor: behavior from a typed RunSpec.
 
-        Every spec-addressable axis — staleness bound, placement,
-        push cadence, jitter, calibration, network model, fidelity —
-        is read from ``run``'s sections.  ``cluster``/``model``/
-        ``plans`` may be passed pre-built (the fuzz runner shares one
-        memoized materialization across a scenario's runs); left as
-        ``None`` they are built from the spec via
+        Every spec-addressable axis — staleness bound, placement, shards,
+        push cadence, jitter, calibration, planner, variant, network
+        model, fidelity — is read from ``run``'s sections.
+        ``cluster``/``model``/``plans`` may be passed pre-built (the fuzz
+        runner shares one memoized materialization across a scenario's
+        runs; the experiments plan once and measure several specs); left
+        as ``None`` they are built from the spec via
         :func:`repro.api.build.build_scenario`.
         """
-        from repro.api.build import build_calibration, build_scenario
+        from repro.api.build import build_scenario
 
         if cluster is None or model is None or plans is None:
             scenario = build_scenario(run)
             cluster = scenario.cluster if cluster is None else cluster
             model = scenario.model if model is None else model
-            plans = list(scenario.plans) if plans is None else plans
-        runtime = cls(
-            cluster,
-            model,
-            list(plans),
-            d=run.pipeline.d,
-            placement=run.pipeline.placement,
-            shards=run.pipeline.shards,
-            shard_placement=run.pipeline.shard_placement,
-            calibration=build_calibration(run.calibration),
-            trace=trace,
-            push_every_minibatch=run.pipeline.push_every_minibatch,
-            jitter=run.pipeline.jitter,
-            oracles=oracles,
-            network_model=run.network.model,
-            fabric_spec=fabric_spec,
-            obs=obs,
-            planner=run.pipeline.planner,
-            variant=run.pipeline.variant,
+            plans = scenario.plans if plans is None else plans
+        return cls(
+            run, cluster, model, plans,
+            trace=trace, oracles=oracles, fabric_spec=fabric_spec, obs=obs,
         )
-        # Fast-forward is armed only for regimes whose cycles can repeat
-        # exactly — task jitter is aperiodic by construction, and the
-        # shared fabric keeps a per-flow ledger that a skip cannot
-        # summarize.  Ineligible runs silently execute at full fidelity.
-        if (
-            run.fidelity.fidelity == "fast_forward"
-            and runtime.jitter == 0.0
-            and runtime.fabric is None
-        ):
-            runtime._ff = _RuntimeFastForward(runtime)
-        return runtime
 
     # ------------------------------------------------------------------
     # oracle plumbing
@@ -608,9 +573,11 @@ class HetPipeRuntime:
         self.rebuild_placements(survivors)
 
     def rebuild_placements(self, node_ids: Sequence[int]) -> None:
-        """Re-place the PS shards over ``node_ids`` through the same
-        PLACEMENTS-registry policy the run started with (failover after
-        a permanent PS-host loss)."""
+        """Place the PS shards over ``node_ids`` through the run's
+        PLACEMENTS-registry policy (at start-up, and for failover after
+        a permanent PS-host loss).  Unsharded runs keep the historical
+        policies; with K > 1 shard slots the shard placement policy
+        picks the slot hosts instead."""
         effective_policy = (
             self.shard_placement_policy if self.shards > 1 else self.placement_policy
         )

@@ -365,11 +365,20 @@ class TestRemovedForms:
             replace(spec, fidelity=ff, pipeline=replace(spec.pipeline, jitter=0.1))
         )
         assert not armed(replace(spec, fidelity=ff, network=NetworkSpec(model="shared")))
-        with pytest.raises(TypeError):
-            HetPipeRuntime(
-                scenario.cluster, scenario.model, list(scenario.plans),
-                fidelity="fast_forward",
-            )
+
+    def test_runtime_init_takes_no_spec_knob(self):
+        """Every behavior knob reaches the runtime through its RunSpec:
+        the constructor takes none of the sections' fields."""
+        import inspect
+        from dataclasses import fields
+
+        from repro.wsp.runtime import HetPipeRuntime
+
+        knobs = {
+            f.name for section in (PipelineSpec, FidelitySpec) for f in fields(section)
+        } | {"calibration", "network_model", "fidelity"}
+        params = set(inspect.signature(HetPipeRuntime.__init__).parameters)
+        assert not params & knobs
 
     @pytest.mark.parametrize(
         "pipeline",
@@ -411,19 +420,15 @@ class TestRemovedForms:
 
 
 class TestMeasureRun:
-    def test_measure_run_matches_measure_hetpipe(self):
-        from repro.wsp import measure_hetpipe, measure_run
+    def test_prebuilt_deployment_matches_spec_built(self):
+        from repro.wsp import measure_run
 
         spec = small_scenario_spec(nm=2)
         scenario = build_scenario(spec)
-        via_spec = measure_run(spec)
-        legacy = measure_hetpipe(
-            scenario.cluster, scenario.model, list(scenario.plans),
-            d=spec.pipeline.d,
-            warmup_waves=spec.pipeline.warmup_waves,
-            measured_waves=spec.pipeline.measured_waves,
+        prebuilt = measure_run(
+            spec, cluster=scenario.cluster, model=scenario.model, plans=scenario.plans
         )
-        assert via_spec == legacy
+        assert prebuilt == measure_run(spec)
 
 
 class TestSweep:

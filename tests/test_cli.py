@@ -73,7 +73,11 @@ class TestUnwritableOutput:
         ["trace", "examples/specs/trace_demo.json", "--out", "{blocker}/x.json"],
         ["sweep", "examples/specs/resume_grid.json", "--store", "{blocker}/st"],
     ], ids=["trace", "sweep"])
-    def test_exits_2_naming_the_path(self, tmp_path, capsys, argv):
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch, argv):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started before the output path was opened")
+
+        monkeypatch.setattr("repro.obs.timeline.trace_run", no_run)
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert main([arg.format(blocker=blocker) for arg in argv]) == 2

@@ -60,11 +60,9 @@ class TestTwoStagePipeline:
 
 
 class TestDeadlockDetection:
-    def test_runtime_detects_quiesce(self):
+    def test_runtime_detects_quiesce(self, build_runtime):
         """A runtime whose pipelines never start must report a deadlock
         instead of spinning."""
-        from repro.wsp.runtime import HetPipeRuntime
-
         cluster = paper_cluster()
         model = build_vgg19()
         plans = [
@@ -74,7 +72,7 @@ class TestDeadlockDetection:
             )
             for slot in range(2)
         ]
-        runtime = HetPipeRuntime(cluster, model, plans, d=0, placement="default")
+        runtime = build_runtime(model, plans)
         # never call runtime.start()
         with pytest.raises(SimulationError, match="deadlock|quiesced"):
             runtime.run_until_global_version(0)

@@ -9,15 +9,19 @@ too.
 import pytest
 
 from repro import (
+    ClusterSpec,
     MemoryCapacityError,
+    ModelSpec,
+    PipelineSpec,
+    RunSpec,
     allocate,
     build_resnet50,
     build_resnet152,
     build_vgg19,
     max_feasible_nm,
-    measure_hetpipe,
     measure_horovod,
     measure_pipeline,
+    measure_run,
     paper_cluster,
     plan_virtual_worker,
     single_type_cluster,
@@ -37,10 +41,11 @@ class TestQuickstartStory:
             )
             for vw in assignment.virtual_workers
         ]
-        metrics = measure_hetpipe(
-            cluster, model, plans, d=0, placement="local",
-            warmup_waves=2, measured_waves=3,
+        run = RunSpec(
+            model=ModelSpec("vgg19"),
+            pipeline=PipelineSpec(nm=3, placement="local", measured_waves=3),
         )
+        metrics = measure_run(run, cluster=cluster, model=model, plans=plans)
         horovod = measure_horovod(cluster, model)
         assert metrics.throughput > 0
         assert horovod.throughput > 0
@@ -94,10 +99,12 @@ class TestScalingStory:
             plan_virtual_worker(model, vw, nm, cluster.interconnect, search_orderings=False)
             for vw in assignment.virtual_workers
         ]
-        metrics = measure_hetpipe(
-            cluster, model, plans, d=1, placement="local",
-            warmup_waves=2, measured_waves=3,
+        run = RunSpec(
+            cluster=ClusterSpec("VQ"),
+            model=ModelSpec("resnet152"),
+            pipeline=PipelineSpec(nm=nm, d=1, placement="local", measured_waves=3),
         )
+        metrics = measure_run(run, cluster=cluster, model=model, plans=plans)
         assert metrics.throughput > 0
 
     def test_eight_gpu_virtual_worker(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.spec import ModelSpec, PipelineSpec, RunSpec
 from repro.cluster.catalog import paper_cluster
 from repro.errors import InvariantViolation, SimulationError
 from repro.models.calibration import DEFAULT_CALIBRATION
@@ -42,12 +43,14 @@ def np_plans(vq_cluster, small_model):
     ]
 
 
-def make_runtime(cluster, model, plans, *, d=0, oracles=None, **kwargs):
-    return HetPipeRuntime(
-        cluster, model, plans, d=d, placement="default",
+def make_runtime(cluster, model, plans, *, oracles=None, **pipeline):
+    run = RunSpec(
+        model=ModelSpec(model.name), pipeline=PipelineSpec(nm=plans[0].nm, **pipeline)
+    )
+    return HetPipeRuntime.from_spec(
+        run, cluster=cluster, model=model, plans=plans,
         trace=Trace(enabled=True),
         oracles=default_oracles() if oracles is None else oracles,
-        **kwargs,
     )
 
 

@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.spec import NetworkSpec
 from repro.cluster.catalog import (
     INTERCONNECT_PROFILES,
     interconnect_profile,
     paper_cluster,
     single_type_cluster,
 )
-from repro.errors import ConfigurationError, InvariantViolation, SimulationError
+from repro.errors import ConfigurationError, InvariantViolation, SimulationError, SpecError
 from repro.models.calibration import DEFAULT_CALIBRATION
 from repro.models.profiler import Profiler
 from repro.netsim import (
@@ -30,8 +31,6 @@ from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.scenarios import congested_fabric_spec
 from repro.sim.engine import Simulator
 from repro.sim.invariants import FabricOracle, default_oracles
-from repro.wsp import measure_hetpipe
-from repro.wsp.runtime import HetPipeRuntime
 
 
 def _fabric(codes="VR", gpus_per_node=2, spec=DEFAULT_FABRIC_SPEC):
@@ -488,87 +487,64 @@ class TestPipelineOnFabric:
 
 
 class TestRuntimeIntegration:
-    def _measure(self, network_model):
-        cluster = paper_cluster("VR", gpus_per_node=2)
+    @staticmethod
+    def _deployment(node_codes, nm):
         from repro.allocation import allocate
         from repro.experiments.common import plan_assignment
         from repro.scenarios import build_fuzz_model
 
+        cluster = paper_cluster(node_codes, gpus_per_node=2)
         model = build_fuzz_model("net", 8, 16, (8, 8, 8, 8), (32,))
-        assignment = allocate(cluster, "NP")
-        plans = plan_assignment(model, assignment, 2, cluster)
-        return measure_hetpipe(
-            cluster, model, plans, d=1, placement="default",
-            warmup_waves=2, measured_waves=3, network_model=network_model,
+        return cluster, model, plan_assignment(model, allocate(cluster, "NP"), nm, cluster)
+
+    def _measure(self, measure_plans, network_model):
+        cluster, model, plans = self._deployment("VR", 2)
+        return measure_plans(
+            model, plans, cluster=cluster, network=network_model, d=1, measured_waves=3
         )
 
-    def test_shared_mode_metrics_flags(self):
-        dedicated = self._measure("dedicated")
-        shared = self._measure("shared")
+    def test_shared_mode_metrics_flags(self, measure_plans):
+        dedicated = self._measure(measure_plans, "dedicated")
+        shared = self._measure(measure_plans, "shared")
         assert dedicated.network_model == "dedicated"
         assert shared.network_model == "shared"
         assert shared.net_queue_delay_total >= 0.0
 
-    def test_shared_makespan_not_faster_than_dedicated(self):
+    def test_shared_makespan_not_faster_than_dedicated(self, build_runtime):
         """Contention can only delay the target global version.
 
         (Windowed throughput is *not* strictly monotone — both window
         endpoints shift — which is why the oracle compares makespans.)
         """
-        cluster = paper_cluster("VRG", gpus_per_node=2)
-        from repro.allocation import allocate
-        from repro.experiments.common import plan_assignment
-        from repro.scenarios import build_fuzz_model
-
-        model = build_fuzz_model("net", 8, 16, (8, 8, 8, 8), (32,))
-        plans = plan_assignment(model, allocate(cluster, "NP"), 2, cluster)
+        cluster, model, plans = self._deployment("VRG", 2)
         makespans = {}
         for mode in ("dedicated", "shared"):
-            runtime = HetPipeRuntime(
-                cluster, model, plans, d=1, placement="default", network_model=mode
-            )
+            runtime = build_runtime(model, plans, cluster=cluster, network=mode, d=1)
             runtime.start()
             runtime.run_until_global_version(4)
             makespans[mode] = runtime.sim.now
         assert makespans["shared"] >= makespans["dedicated"] - 1e-12
 
     def test_unknown_network_model_rejected(self):
-        cluster = paper_cluster("VR", gpus_per_node=2)
-        from repro.allocation import allocate
-        from repro.experiments.common import plan_assignment
-        from repro.scenarios import build_fuzz_model
+        """The spec rejects an unknown network model before any runtime
+        exists."""
+        with pytest.raises(SpecError, match="network.model must be one of"):
+            NetworkSpec("infinband")
 
-        model = build_fuzz_model("net", 8, 16, (8, 8, 8, 8), (32,))
-        plans = plan_assignment(model, allocate(cluster, "NP"), 1, cluster)
-        with pytest.raises(ConfigurationError):
-            HetPipeRuntime(cluster, model, plans, network_model="infinband")
-
-    def test_fabric_oracle_clean_on_shared_run(self):
-        cluster = paper_cluster("VR", gpus_per_node=2)
-        from repro.allocation import allocate
-        from repro.experiments.common import plan_assignment
-        from repro.scenarios import build_fuzz_model
-
-        model = build_fuzz_model("net", 8, 16, (8, 8, 8, 8), (32,))
-        plans = plan_assignment(model, allocate(cluster, "NP"), 2, cluster)
-        runtime = HetPipeRuntime(
-            cluster, model, plans, d=1, oracles=default_oracles(),
-            network_model="shared",
+    def test_fabric_oracle_clean_on_shared_run(self, build_runtime):
+        cluster, model, plans = self._deployment("VR", 2)
+        runtime = build_runtime(
+            model, plans, cluster=cluster, network="shared", d=1,
+            oracles=default_oracles(),
         )
         runtime.start()
         runtime.run_until_global_version(3)
         runtime.check_invariants()
 
-    def test_fabric_oracle_noop_on_dedicated_run(self):
+    def test_fabric_oracle_noop_on_dedicated_run(self, build_runtime):
         oracle = FabricOracle()
-        cluster = paper_cluster("VR", gpus_per_node=2)
-        from repro.allocation import allocate
-        from repro.experiments.common import plan_assignment
-        from repro.scenarios import build_fuzz_model
-
-        model = build_fuzz_model("net", 8, 16, (8, 8, 8, 8), (32,))
-        plans = plan_assignment(model, allocate(cluster, "NP"), 1, cluster)
-        runtime = HetPipeRuntime(cluster, model, plans, oracles=[oracle])
+        cluster, model, plans = self._deployment("VR", 1)
+        runtime = build_runtime(model, plans, cluster=cluster, oracles=[oracle])
         runtime.start()
         runtime.run_until_global_version(1)
         oracle.verify_final(runtime)  # no fabric -> no-op
@@ -657,7 +633,7 @@ def _fabric_ledger(seed, shards=1, faults=False):
     import hashlib
 
     from repro.api.build import build_scenario
-    from repro.api.spec import FidelitySpec, NetworkSpec
+    from repro.api.spec import FidelitySpec
     from repro.scenarios import generate_run_spec
     from repro.scenarios.runner import (
         EVENTS_PER_MINIBATCH,

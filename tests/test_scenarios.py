@@ -195,9 +195,8 @@ class TestDifferentialBounds:
 
         run = generate_run_spec(4)
         built = build_scenario(run)
-        runtime = HetPipeRuntime(
-            built.cluster, built.model, list(built.plans),
-            d=run.pipeline.d, placement=run.pipeline.placement,
+        runtime = HetPipeRuntime.from_spec(
+            run, cluster=built.cluster, model=built.model, plans=list(built.plans),
             trace=Trace(enabled=False),
         )
         violations = []
@@ -214,9 +213,9 @@ class TestDifferentialBounds:
         run = generate_run_spec(4)
         built = build_scenario(run)
         pipe = run.pipeline
-        runtime = HetPipeRuntime(
-            built.cluster, built.model, list(built.plans),
-            d=pipe.d, placement=pipe.placement, trace=Trace(enabled=False),
+        runtime = HetPipeRuntime.from_spec(
+            run, cluster=built.cluster, model=built.model, plans=list(built.plans),
+            trace=Trace(enabled=False),
         )
         violations = []
         low, _ = wsp_completion_bounds(pipe.nm, pipe.d, pipe.measured_waves)
