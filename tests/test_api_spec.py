@@ -9,7 +9,9 @@ name the offending path.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,3 +382,64 @@ class TestSweepExpansion:
         )
         with pytest.raises(SpecError, match="pipeline.d"):
             expand_sweep(grid)
+
+
+#: ``spec_hash`` of every checked-in RunSpec file (``seed_pools.json``
+#: under ``bench/specs`` is the benchmark's seed list, not a spec).  The
+#: hash keys the result store and ``repro sweep --resume``, so a change
+#: to the spec layer must leave every one of them unchanged.
+CHECKED_IN_SPEC_HASHES = {
+    "examples/specs/faults_demo.json": "9b74979767dfd5efd6b7d8f78164483585c453bffa053641b62abd03983750cf",
+    "examples/specs/fig3_vgg19.json": "ddf6d8125794eca7c01ca96ee53f5fcdb61579374d720b585e6d829f41ec1987",
+    "examples/specs/fig4_vgg19.json": "4bf68aa54182e8cf8536791c83e6b3626578377b1971fe9ee25fdf289439bfe0",
+    "examples/specs/planner_grid.json": "d4cd8987dbb1f7003aa7fc5b4f019d628e3bfb726f3ec72c8dfe99491ac07381",
+    "examples/specs/ps_shard_grid.json": "62a177ca426ddaf24100278d79e03130cb77f3101563aedd2e46d280ecad9e02",
+    "examples/specs/resume_grid.json": "1ea61a989093de35efb00d018862103b8086c40d61e119898b5cf479b0d3a5a7",
+    "examples/specs/scenario_seed0.json": "00e318a938cebda598e04df5d710b1ab7cae7693e717c53172eae03faa554201",
+    "examples/specs/table4_vgg19.json": "c02d3e0d47a03f664dd99eafbc9c1f296081f0534b4c93a4a674b59c589e969d",
+    "examples/specs/trace_demo.json": "b6115cda6b6dd514857fa11c4e5292470383bf85756ec1e91587f7b93b299566",
+    "examples/specs/variant_zoo_grid.json": "6cc96e225f5fafd177729c9865a3d3e081256d9da94969e2b26489bdecde90fb",
+    "bench/specs/cluster64.json": "07dcb1720089b3d513e97942bba6336e3ad553aa38e58378c75d84ec7d3ac642",
+    "bench/specs/fig3_vgg19.json": "ddf6d8125794eca7c01ca96ee53f5fcdb61579374d720b585e6d829f41ec1987",
+    "bench/specs/fig4_vgg19.json": "4bf68aa54182e8cf8536791c83e6b3626578377b1971fe9ee25fdf289439bfe0",
+    "bench/specs/sweep_grid.json": "cfd4dc02343d081a8fa6a736ee84f057c89c5c46e60c9f2bccb4f2e2839e2cfb",
+    "bench/specs/sweep_grid_quick.json": "7cdf0b79f2f1977f71c64d4e4a804e145890a0290360153ee881e3316c9e904d",
+    "bench/specs/table4_vgg19.json": "c02d3e0d47a03f664dd99eafbc9c1f296081f0534b4c93a4a674b59c589e969d",
+}
+
+#: (point count, sha256 of the space-joined point hashes) of every
+#: checked-in grid: each expanded point is its own store key.
+CHECKED_IN_GRID_POINTS = {
+    "examples/specs/planner_grid.json": (6, "97680117bc15cd22c8c87c8c9cc250b6a4588a99d5a3fecc3677664754e53244"),
+    "examples/specs/ps_shard_grid.json": (9, "a50d38be5be999d00c8f7ed06ed89fc25fef7f9a92752d15b08c6bb052637b1c"),
+    "examples/specs/resume_grid.json": (8, "534a1918ea3bf1f36ebf8a9a906e5d45fe045a74b0313eb1e5bb4424a0b9434e"),
+    "examples/specs/variant_zoo_grid.json": (20, "e7c4f1823958dae4abab63225e94a1654f0e0fe914eafae173fb766732d15bfe"),
+    "bench/specs/sweep_grid.json": (60, "2c3a99b65bc8225ee7ea2675efb8e89ffcfcf135868fc7ab496658a619b5db80"),
+    "bench/specs/sweep_grid_quick.json": (20, "a6bdf0f23fe09b718f367888a2e48d99d197aff0ecd6e7f2c55460af3966b855"),
+}
+
+
+class TestCheckedInSpecs:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _load(self, rel: str) -> RunSpec:
+        return RunSpec.from_json((self.ROOT / rel).read_text())
+
+    def test_every_checked_in_spec_is_pinned(self):
+        found = {
+            str(path.relative_to(self.ROOT))
+            for folder in ("examples/specs", "bench/specs")
+            for path in (self.ROOT / folder).glob("*.json")
+            if path.name != "seed_pools.json"
+        }
+        assert found == set(CHECKED_IN_SPEC_HASHES)
+
+    @pytest.mark.parametrize("rel, expected", sorted(CHECKED_IN_SPEC_HASHES.items()))
+    def test_spec_hash_is_pinned(self, rel, expected):
+        assert self._load(rel).spec_hash == expected
+
+    @pytest.mark.parametrize("rel, expected", sorted(CHECKED_IN_GRID_POINTS.items()))
+    def test_grid_point_hashes_are_pinned(self, rel, expected):
+        points = expand_sweep(self._load(rel))
+        joined = " ".join(point.spec_hash for point in points)
+        assert (len(points), hashlib.sha256(joined.encode()).hexdigest()) == expected
