@@ -37,6 +37,7 @@ _EXPORTS = {
     "PipelineSpec": "repro.api",
     "RunSpec": "repro.api",
     "SweepSpec": "repro.api",
+    "NETWORK_MODELS": "repro.api.spec",
     "SpecError": "repro.errors",
     "UnknownNameError": "repro.errors",
     "measure_run": "repro.wsp",
@@ -67,7 +68,6 @@ _EXPORTS = {
     "build_vgg19": "repro.models",
     "Fabric": "repro.netsim",
     "FabricSpec": "repro.netsim",
-    "NETWORK_MODELS": "repro.netsim",
     "HorovodMetrics": "repro.parallel",
     "measure_horovod": "repro.parallel",
     "PartitionPlan": "repro.partition",
@@ -120,6 +120,7 @@ if TYPE_CHECKING:  # static analyzers see the eager imports
         RunSpec,
         SweepSpec,
     )
+    from repro.api.spec import NETWORK_MODELS
     from repro.errors import SpecError, UnknownNameError
     from repro.wsp import measure_run
     from repro.cluster import (
@@ -151,7 +152,7 @@ if TYPE_CHECKING:  # static analyzers see the eager imports
         build_vgg16,
         build_vgg19,
     )
-    from repro.netsim import Fabric, FabricSpec, NETWORK_MODELS
+    from repro.netsim import Fabric, FabricSpec
     from repro.parallel import HorovodMetrics, measure_horovod
     from repro.partition import (
         PartitionPlan,

@@ -229,15 +229,25 @@ def run_sweep(
     whose verified entry already exists in the store (corrupted entries
     are quarantined and recomputed); the merged result — including the
     per-point ``describe()`` lines — is bit-identical to an
-    uninterrupted run.  ``timeout`` arms the executor's per-item
-    watchdog: a point that hangs past it is killed and retried in
+    uninterrupted run.  A ``store`` that is not a ``ResultStore``, or
+    ``resume=True`` without one, is a :class:`~repro.errors.SpecError`
+    raised before any point runs.  ``timeout`` arms the executor's
+    per-item watchdog: a point that hangs past it is killed and retried in
     isolation, and raises :class:`~repro.errors.ItemTimeoutError` if it
     never finishes (finished points are already safe in the store).
     """
     from repro.exec import sweep_map
+    from repro.store import ResultStore
 
     if spec.sweep is None:
         raise SpecError("spec has no sweep section; use run() for single points")
+    if store is not None and not isinstance(store, ResultStore):
+        raise SpecError(
+            f"run_sweep takes store as a repro.store.ResultStore, got {store!r}; "
+            "pass ResultStore(path)"
+        )
+    if resume and store is None:
+        raise SpecError("--resume needs --store DIR (nowhere to resume from)")
     points = expand_sweep(spec)
     labels = [axis_assignments(spec, point) for point in points]
 

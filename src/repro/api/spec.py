@@ -19,6 +19,11 @@ grid) in that space:
   ordered list of concrete points (cartesian product, later axes vary
   fastest), each carrying its own ``spec_hash``.
 
+Each section declares one rule per field — its kind (int, tuple of
+ints, number, string, bool or choice), bounds, choices and nullability
+— and one helper, :func:`_check`, enforces them all; only rules that
+span several fields are written out as code.
+
 Name *resolution* (model builders, calibrations, planners, interconnect
 profiles) deliberately does not happen here: this module validates
 structure and closed literal sets only, so a spec file can be parsed,
@@ -34,7 +39,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import SpecError
 
@@ -54,9 +59,84 @@ FIDELITIES = ("full", "fast_forward")
 RUN_KINDS = ("scenario", "experiment")
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SpecError(message)
+class _Rule(NamedTuple):
+    """The declared check of one spec field: built by one kind
+    constructor below (``_int``, ``_ints``, ``_number``, ``_choice``,
+    ``_str``, ``_bool``), enforced by :func:`_check`."""
+
+    test: Callable[[Any], bool]
+    wanted: str  # completes "<path> must ..., got <value>" on failure
+    null: bool = False  # None is accepted as-is
+    number: bool = False  # a passing value is stored as float
+
+
+def _is_int(value: Any, lo: int) -> bool:
+    # bool is an int subclass, but True == 1 serializes (and so hashes)
+    # as "true": a bool never passes for an int
+    return isinstance(value, int) and not isinstance(value, bool) and value >= lo
+
+
+def _int(lo: int, null: bool = False) -> _Rule:
+    wanted = f"be an int >= {lo}" + (" or null" if null else "")
+    return _Rule(lambda v: _is_int(v, lo), wanted, null)
+
+
+def _ints(lo: int) -> _Rule:
+    return _Rule(lambda v: all(_is_int(d, lo) for d in v), f"contain ints >= {lo}")
+
+
+def _number(
+    lo: int, hi: int | None = None, open_lo: bool = False, open_hi: bool = False
+) -> _Rule:
+    def test(v: Any) -> bool:
+        return (
+            isinstance(v, (int, float))
+            and not isinstance(v, bool)
+            and (v > lo if open_lo else v >= lo)
+            and (hi is None or (v < hi if open_hi else v <= hi))
+        )
+
+    if hi is None:
+        wanted = f"be a number {'>' if open_lo else '>='} {lo}"
+    else:
+        wanted = f"be in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    return _Rule(test, wanted, number=True)
+
+
+def _choice(choices: tuple[str, ...]) -> _Rule:
+    return _Rule(lambda v: v in choices, f"be one of {list(choices)}")
+
+
+def _str() -> _Rule:
+    return _Rule(lambda v: isinstance(v, str) and v != "", "be a non-empty string")
+
+
+def _bool(null: bool = False) -> _Rule:
+    wanted = "be true/false/null" if null else "be true/false"
+    return _Rule(lambda v: isinstance(v, bool), wanted, null)
+
+
+def _fields(section: str, **rules: _Rule) -> tuple[tuple[str, str, _Rule], ...]:
+    """``(attribute, message path, rule)`` per field, in check order;
+    top-level fields (``section=""``) carry no prefix."""
+    prefix = f"{section}." if section else ""
+    return tuple((name, prefix + name, rule) for name, rule in rules.items())
+
+
+def _check(spec: Any, table: tuple[tuple[str, str, _Rule], ...]) -> None:
+    """Enforce ``table``'s rules on ``spec``; the first failure raises.
+
+    A passing number is stored as ``float`` (``-0.0`` as ``0.0``), so
+    numbers that compare equal serialize, and hash, the same.
+    """
+    for name, path, rule in table:
+        value = getattr(spec, name)
+        if value is None and rule.null:
+            continue
+        if not rule.test(value):
+            raise SpecError(f"{path} must {rule.wanted}, got {value!r}")
+        if rule.number:
+            object.__setattr__(spec, name, float(value) + 0.0)
 
 
 def canonical_dumps(data: Any) -> str:
@@ -68,6 +148,11 @@ def canonical_dumps(data: Any) -> str:
     order or source formatting.
     """
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+_CLUSTER_FIELDS = _fields(
+    "cluster", node_codes=_str(), gpus_per_node=_int(1), profile=_str()
+)
 
 
 @dataclass(frozen=True)
@@ -84,18 +169,18 @@ class ClusterSpec:
     profile: str = "grpc_tf112"
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.node_codes, str) and len(self.node_codes) >= 1,
-            f"cluster.node_codes must be a non-empty string, got {self.node_codes!r}",
-        )
-        _require(
-            isinstance(self.gpus_per_node, int) and self.gpus_per_node >= 1,
-            f"cluster.gpus_per_node must be an int >= 1, got {self.gpus_per_node!r}",
-        )
-        _require(
-            isinstance(self.profile, str) and bool(self.profile),
-            f"cluster.profile must be a non-empty string, got {self.profile!r}",
-        )
+        _check(self, _CLUSTER_FIELDS)
+
+
+_MODEL_FIELDS = _fields("model", name=_str())
+#: checked only once the knobs are known to form a synthetic chain
+_SYNTHETIC_FIELDS = _fields(
+    "model",
+    batch_size=_int(1),
+    image_size=_int(1),
+    conv_widths=_ints(1),
+    fc_dims=_ints(1),
+)
 
 
 @dataclass(frozen=True)
@@ -121,10 +206,7 @@ class ModelSpec:
         return bool(self.conv_widths)
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.name, str) and bool(self.name),
-            f"model.name must be a non-empty string, got {self.name!r}",
-        )
+        _check(self, _MODEL_FIELDS)
         object.__setattr__(self, "conv_widths", tuple(self.conv_widths))
         object.__setattr__(self, "fc_dims", tuple(self.fc_dims))
         synthetic_knobs = (
@@ -132,31 +214,37 @@ class ModelSpec:
             self.image_size is not None,
             bool(self.conv_widths),
         )
-        _require(
-            not (self.fc_dims and not any(synthetic_knobs)),
-            "model: fc_dims without the other synthetic knobs "
-            "(batch_size, image_size, conv_widths) names no model",
-        )
+        if self.fc_dims and not any(synthetic_knobs):
+            raise SpecError(
+                "model: fc_dims without the other synthetic knobs "
+                "(batch_size, image_size, conv_widths) names no model"
+            )
         if any(synthetic_knobs):
-            _require(
-                all(synthetic_knobs),
-                "model: a synthetic chain needs batch_size, image_size, and "
-                "conv_widths together (only some were given); a catalog model "
-                "takes just a name",
-            )
-            _require(
-                isinstance(self.batch_size, int) and self.batch_size >= 1,
-                f"model.batch_size must be an int >= 1, got {self.batch_size!r}",
-            )
-            _require(
-                isinstance(self.image_size, int) and self.image_size >= 1,
-                f"model.image_size must be an int >= 1, got {self.image_size!r}",
-            )
-            for label, dims in (("conv_widths", self.conv_widths), ("fc_dims", self.fc_dims)):
-                _require(
-                    all(isinstance(d, int) and d >= 1 for d in dims),
-                    f"model.{label} must contain ints >= 1, got {dims!r}",
+            if not all(synthetic_knobs):
+                raise SpecError(
+                    "model: a synthetic chain needs batch_size, image_size, and "
+                    "conv_widths together (only some were given); a catalog "
+                    "model takes just a name"
                 )
+            _check(self, _SYNTHETIC_FIELDS)
+
+
+_PIPELINE_FIELDS = _fields(
+    "pipeline",
+    nm=_int(1, null=True),
+    d=_int(0),
+    allocation=_choice(ALLOCATION_POLICIES),
+    placement=_choice(PLACEMENT_POLICIES),
+    shards=_int(1),
+    shard_placement=_choice(SHARD_PLACEMENT_POLICIES),
+    planner=_str(),
+    variant=_str(),
+    memory_limited=_bool(),
+    push_every_minibatch=_bool(),
+    jitter=_number(0, 1, open_hi=True),
+    warmup_waves=_int(1),
+    measured_waves=_int(1),
+)
 
 
 @dataclass(frozen=True)
@@ -187,60 +275,10 @@ class PipelineSpec:
     measured_waves: int = 8
 
     def __post_init__(self) -> None:
-        _require(
-            self.nm is None or (isinstance(self.nm, int) and self.nm >= 1),
-            f"pipeline.nm must be an int >= 1 or null, got {self.nm!r}",
-        )
-        _require(
-            isinstance(self.d, int) and self.d >= 0,
-            f"pipeline.d must be an int >= 0, got {self.d!r}",
-        )
-        _require(
-            self.allocation in ALLOCATION_POLICIES,
-            f"pipeline.allocation must be one of {list(ALLOCATION_POLICIES)}, "
-            f"got {self.allocation!r}",
-        )
-        _require(
-            self.placement in PLACEMENT_POLICIES,
-            f"pipeline.placement must be one of {list(PLACEMENT_POLICIES)}, "
-            f"got {self.placement!r}",
-        )
-        _require(
-            isinstance(self.shards, int)
-            and not isinstance(self.shards, bool)
-            and self.shards >= 1,
-            f"pipeline.shards must be an int >= 1, got {self.shards!r}",
-        )
-        _require(
-            self.shard_placement in SHARD_PLACEMENT_POLICIES,
-            f"pipeline.shard_placement must be one of "
-            f"{list(SHARD_PLACEMENT_POLICIES)}, got {self.shard_placement!r}",
-        )
-        _require(
-            isinstance(self.planner, str) and bool(self.planner),
-            f"pipeline.planner must be a non-empty string, got {self.planner!r}",
-        )
-        _require(
-            isinstance(self.variant, str) and bool(self.variant),
-            f"pipeline.variant must be a non-empty string, got {self.variant!r}",
-        )
-        _require(
-            isinstance(self.memory_limited, bool),
-            f"pipeline.memory_limited must be true/false, got {self.memory_limited!r}",
-        )
-        _require(
-            isinstance(self.jitter, (int, float)) and 0.0 <= float(self.jitter) < 1.0,
-            f"pipeline.jitter must be in [0, 1), got {self.jitter!r}",
-        )
-        object.__setattr__(self, "jitter", float(self.jitter))
-        _require(
-            isinstance(self.warmup_waves, int) and self.warmup_waves >= 1,
-            f"pipeline.warmup_waves must be an int >= 1, got {self.warmup_waves!r}",
-        )
-        _require(
-            isinstance(self.measured_waves, int) and self.measured_waves >= 1,
-            f"pipeline.measured_waves must be an int >= 1, got {self.measured_waves!r}",
-        )
+        _check(self, _PIPELINE_FIELDS)
+
+
+_NETWORK_FIELDS = _fields("network", model=_choice(NETWORK_MODELS))
 
 
 @dataclass(frozen=True)
@@ -250,10 +288,15 @@ class NetworkSpec:
     model: str = "dedicated"
 
     def __post_init__(self) -> None:
-        _require(
-            self.model in NETWORK_MODELS,
-            f"network.model must be one of {list(NETWORK_MODELS)}, got {self.model!r}",
-        )
+        _check(self, _NETWORK_FIELDS)
+
+
+_FIDELITY_FIELDS = _fields(
+    "fidelity",
+    fidelity=_choice(FIDELITIES),
+    verify_equivalence=_bool(null=True),
+    waves_scale=_int(1),
+)
 
 
 @dataclass(frozen=True)
@@ -265,19 +308,15 @@ class FidelitySpec:
     waves_scale: int = 1
 
     def __post_init__(self) -> None:
-        _require(
-            self.fidelity in FIDELITIES,
-            f"fidelity.fidelity must be one of {list(FIDELITIES)}, got {self.fidelity!r}",
-        )
-        _require(
-            self.verify_equivalence is None or isinstance(self.verify_equivalence, bool),
-            f"fidelity.verify_equivalence must be true/false/null, "
-            f"got {self.verify_equivalence!r}",
-        )
-        _require(
-            isinstance(self.waves_scale, int) and self.waves_scale >= 1,
-            f"fidelity.waves_scale must be an int >= 1, got {self.waves_scale!r}",
-        )
+        _check(self, _FIDELITY_FIELDS)
+
+
+_OBSERVABILITY_FIELDS = _fields(
+    "observability",
+    enabled=_bool(),
+    sample_every=_number(0),
+    ring_buffer=_int(1),
+)
 
 
 @dataclass(frozen=True)
@@ -299,25 +338,7 @@ class ObservabilitySpec:
     ring_buffer: int = 256
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.enabled, bool),
-            f"observability.enabled must be true/false, got {self.enabled!r}",
-        )
-        _require(
-            isinstance(self.sample_every, (int, float))
-            and not isinstance(self.sample_every, bool)
-            and float(self.sample_every) >= 0.0,
-            f"observability.sample_every must be a number >= 0, "
-            f"got {self.sample_every!r}",
-        )
-        object.__setattr__(self, "sample_every", float(self.sample_every))
-        _require(
-            isinstance(self.ring_buffer, int)
-            and not isinstance(self.ring_buffer, bool)
-            and self.ring_buffer >= 1,
-            f"observability.ring_buffer must be an int >= 1, "
-            f"got {self.ring_buffer!r}",
-        )
+        _check(self, _OBSERVABILITY_FIELDS)
 
 
 #: Fault kinds a :class:`FaultSpec` may schedule, with the arity of
@@ -332,6 +353,21 @@ FAULT_KINDS: dict[str, int] = {
     # ("ps", start_frac, slot, duration_frac)
     "ps": 4,
 }
+
+
+_FAULT_FIELDS = _fields(
+    "faults",
+    enabled=_bool(),
+    stragglers=_int(0),
+    crashes=_int(0),
+    link_faults=_int(0),
+    ps_faults=_int(0),
+    straggler_factor=_number(1),
+    link_scale_floor=_number(0, 1, open_lo=True),
+    retry_timeout=_number(0, open_lo=True),
+    max_retries=_int(1),
+    checkpoint_every=_int(1),
+)
 
 
 @dataclass(frozen=True)
@@ -372,85 +408,43 @@ class FaultSpec:
     events: tuple[tuple[Any, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.enabled, bool),
-            f"faults.enabled must be true/false, got {self.enabled!r}",
-        )
-        for name in ("stragglers", "crashes", "link_faults", "ps_faults"):
-            value = getattr(self, name)
-            _require(
-                isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-                f"faults.{name} must be an int >= 0, got {value!r}",
-            )
-        _require(
-            isinstance(self.straggler_factor, (int, float))
-            and not isinstance(self.straggler_factor, bool)
-            and float(self.straggler_factor) >= 1.0,
-            f"faults.straggler_factor must be a number >= 1, "
-            f"got {self.straggler_factor!r}",
-        )
-        object.__setattr__(self, "straggler_factor", float(self.straggler_factor))
-        _require(
-            isinstance(self.link_scale_floor, (int, float))
-            and not isinstance(self.link_scale_floor, bool)
-            and 0.0 < float(self.link_scale_floor) <= 1.0,
-            f"faults.link_scale_floor must be in (0, 1], "
-            f"got {self.link_scale_floor!r}",
-        )
-        object.__setattr__(self, "link_scale_floor", float(self.link_scale_floor))
-        _require(
-            isinstance(self.retry_timeout, (int, float))
-            and not isinstance(self.retry_timeout, bool)
-            and float(self.retry_timeout) > 0.0,
-            f"faults.retry_timeout must be a number > 0, got {self.retry_timeout!r}",
-        )
-        object.__setattr__(self, "retry_timeout", float(self.retry_timeout))
-        _require(
-            isinstance(self.max_retries, int)
-            and not isinstance(self.max_retries, bool)
-            and self.max_retries >= 1,
-            f"faults.max_retries must be an int >= 1, got {self.max_retries!r}",
-        )
-        _require(
-            isinstance(self.checkpoint_every, int)
-            and not isinstance(self.checkpoint_every, bool)
-            and self.checkpoint_every >= 1,
-            f"faults.checkpoint_every must be an int >= 1, "
-            f"got {self.checkpoint_every!r}",
-        )
+        _check(self, _FAULT_FIELDS)
         events = tuple(
             tuple(event) if isinstance(event, (list, tuple)) else event
             for event in self.events
         )
         object.__setattr__(self, "events", events)
         for i, event in enumerate(events):
-            _require(
-                isinstance(event, tuple) and len(event) >= 1,
-                f"faults.events[{i}] must be a [kind, ...] array, got {event!r}",
-            )
+            if not (isinstance(event, tuple) and len(event) >= 1):
+                raise SpecError(
+                    f"faults.events[{i}] must be a [kind, ...] array, got {event!r}"
+                )
             kind = event[0]
-            _require(
-                kind in FAULT_KINDS,
-                f"faults.events[{i}] kind must be one of "
-                f"{sorted(FAULT_KINDS)}, got {kind!r}",
-            )
-            _require(
-                len(event) == FAULT_KINDS[kind],
-                f"faults.events[{i}] ({kind!r}) needs {FAULT_KINDS[kind]} "
-                f"entries, got {len(event)}",
-            )
-            _require(
-                all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in event[1:]
-                ),
-                f"faults.events[{i}] entries after the kind must be numbers, "
-                f"got {event!r}",
-            )
-            _require(
-                float(event[1]) >= 0.0,
-                f"faults.events[{i}] start fraction must be >= 0, got {event[1]!r}",
-            )
+            if kind not in FAULT_KINDS:
+                raise SpecError(
+                    f"faults.events[{i}] kind must be one of "
+                    f"{sorted(FAULT_KINDS)}, got {kind!r}"
+                )
+            if len(event) != FAULT_KINDS[kind]:
+                raise SpecError(
+                    f"faults.events[{i}] ({kind!r}) needs {FAULT_KINDS[kind]} "
+                    f"entries, got {len(event)}"
+                )
+            if not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in event[1:]
+            ):
+                raise SpecError(
+                    f"faults.events[{i}] entries after the kind must be numbers, "
+                    f"got {event!r}"
+                )
+            if not (float(event[1]) >= 0.0):  # NaN fails too
+                raise SpecError(
+                    f"faults.events[{i}] start fraction must be >= 0, got {event[1]!r}"
+                )
+
+
+_EXPERIMENT_FIELDS = _fields("experiment", name=_str(), model=_str())
 
 
 @dataclass(frozen=True)
@@ -461,14 +455,10 @@ class ExperimentSpec:
     model: str = "vgg19"
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.name, str) and bool(self.name),
-            f"experiment.name must be a non-empty string, got {self.name!r}",
-        )
-        _require(
-            isinstance(self.model, str) and bool(self.model),
-            f"experiment.model must be a non-empty string, got {self.model!r}",
-        )
+        _check(self, _EXPERIMENT_FIELDS)
+
+
+_SWEEP_AXIS_FIELDS = (("path", "sweep axis path", _str()),)
 
 
 @dataclass(frozen=True)
@@ -479,15 +469,10 @@ class SweepAxis:
     values: tuple[Any, ...]
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.path, str) and bool(self.path),
-            f"sweep axis path must be a non-empty string, got {self.path!r}",
-        )
+        _check(self, _SWEEP_AXIS_FIELDS)
         object.__setattr__(self, "values", tuple(self.values))
-        _require(
-            len(self.values) >= 1,
-            f"sweep axis {self.path!r} needs at least one value",
-        )
+        if not self.values:
+            raise SpecError(f"sweep axis {self.path!r} needs at least one value")
 
 
 @dataclass(frozen=True)
@@ -498,12 +483,16 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
-        _require(len(self.axes) >= 1, "sweep.axes must list at least one axis")
+        if not self.axes:
+            raise SpecError("sweep.axes must list at least one axis")
         paths = [axis.path for axis in self.axes]
-        _require(
-            len(set(paths)) == len(paths),
-            f"sweep.axes paths must be unique, got {paths}",
-        )
+        if len(set(paths)) != len(paths):
+            raise SpecError(f"sweep.axes paths must be unique, got {paths}")
+
+
+_RUN_FIELDS = _fields(
+    "", kind=_choice(RUN_KINDS), seed=_int(0), calibration=_str(), oracles=_str()
+)
 
 
 @dataclass(frozen=True)
@@ -532,44 +521,21 @@ class RunSpec:
             object.__setattr__(self, "observability", None)
         if self.faults is not None and not self.faults.enabled:
             object.__setattr__(self, "faults", None)
-        _require(
-            self.kind in RUN_KINDS,
-            f"kind must be one of {list(RUN_KINDS)}, got {self.kind!r}",
-        )
-        _require(
-            isinstance(self.seed, int) and self.seed >= 0,
-            f"seed must be an int >= 0, got {self.seed!r}",
-        )
-        _require(
-            isinstance(self.calibration, str) and bool(self.calibration),
-            f"calibration must be a non-empty string, got {self.calibration!r}",
-        )
-        _require(
-            isinstance(self.oracles, str) and bool(self.oracles),
-            f"oracles must be a non-empty string, got {self.oracles!r}",
-        )
+        _check(self, _RUN_FIELDS)
         if self.kind == "scenario":
-            _require(
-                self.model is not None,
-                "a scenario spec needs a model section",
-            )
-            _require(
-                self.experiment is None,
-                "a scenario spec cannot carry an experiment section",
-            )
+            if self.model is None:
+                raise SpecError("a scenario spec needs a model section")
+            if self.experiment is not None:
+                raise SpecError("a scenario spec cannot carry an experiment section")
             # Sweep grids may leave nm to be filled by an axis; concrete
             # scenario points are checked again at build time.
-            if self.sweep is None:
-                _require(
-                    self.pipeline.nm is not None,
+            if self.sweep is None and self.pipeline.nm is None:
+                raise SpecError(
                     "a scenario spec needs a concrete pipeline.nm "
-                    "(analytic selection is an experiment-level feature)",
+                    "(analytic selection is an experiment-level feature)"
                 )
-        else:
-            _require(
-                self.experiment is not None,
-                "an experiment spec needs an experiment section",
-            )
+        elif self.experiment is None:
+            raise SpecError("an experiment spec needs an experiment section")
 
     # ------------------------------------------------------------------
     # canonical serialization

@@ -37,6 +37,12 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.api.spec import (
+    ALLOCATION_POLICIES,
+    FIDELITIES,
+    NETWORK_MODELS,
+    SHARD_PLACEMENT_POLICIES,
+)
 from repro.cluster.catalog import DEFAULT_PROFILE, INTERCONNECT_PROFILES
 
 
@@ -117,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print one line per scenario, not just the summary",
     )
     p.add_argument(
-        "--network", choices=["dedicated", "shared"], default="dedicated",
+        "--network", choices=NETWORK_MODELS, default="dedicated",
         help="network model: historical private links, or the shared "
         "contention-aware fabric with its extra oracles (default: dedicated)",
     )
@@ -127,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "are bit-identical to --jobs 1)",
     )
     p.add_argument(
-        "--fidelity", choices=["full", "fast_forward"], default="full",
+        "--fidelity", choices=FIDELITIES, default="full",
         help="full: bit-identical replay digests (hetpipe-trace/1); "
         "fast_forward: coalesce confirmed steady-state cycles under the "
         "semantic-equivalence contract (hetpipe-trace/2 digests; every "
@@ -154,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shard-placement",
-        choices=["size_balanced", "locality_aware", "contention_aware"],
+        choices=SHARD_PLACEMENT_POLICIES,
         default="size_balanced",
         help="shard placement policy used when --shards > 1 "
         "(default: size_balanced)",
@@ -193,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="node GPU codes, one letter per node (default: VRGQ)",
     )
     p.add_argument(
-        "--alloc", choices=["NP", "ED", "HD"], default="ED",
+        "--alloc", choices=ALLOCATION_POLICIES, default="ED",
         help="virtual-worker allocation policy (default: ED)",
     )
     p.add_argument("--d", type=int, default=0, help="global staleness bound D")
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shard-placement",
-        choices=["size_balanced", "locality_aware", "contention_aware"],
+        choices=SHARD_PLACEMENT_POLICIES,
         default="size_balanced",
         help="shard placement policy used when --shards > 1 "
         "(default: size_balanced)",
@@ -594,10 +600,6 @@ def _dispatch(args) -> int:
             from repro.store import ResultStore
 
             store = ResultStore(args.store)
-        elif args.resume:
-            from repro.errors import SpecError
-
-            raise SpecError("--resume needs --store DIR (nowhere to resume from)")
         on_result = None if args.quiet else (lambda point: print(point.describe()))
         result = run_sweep(
             spec,

@@ -18,9 +18,6 @@ from repro.netsim.fabric import (
     utilization_report,
 )
 
-#: Valid values of the ``network_model`` configuration switch.
-NETWORK_MODELS = ("dedicated", "shared")
-
 __all__ = [
     "DEFAULT_FABRIC_SPEC",
     "Endpoint",
@@ -28,7 +25,6 @@ __all__ = [
     "FabricEdge",
     "FabricSpec",
     "Flow",
-    "NETWORK_MODELS",
     "SharedLink",
     "utilization_report",
 ]

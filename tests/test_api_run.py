@@ -487,6 +487,19 @@ class TestSweep:
         with pytest.raises(SpecError, match="no sweep section"):
             run_sweep(small_scenario_spec())
 
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [
+            ({"store": "results-dir"}, "ResultStore"),
+            ({"resume": True}, "--resume needs --store DIR"),
+        ],
+    )
+    def test_bad_store_arguments_fail_before_any_point_runs(self, kwargs, fragment):
+        seen: list = []
+        with pytest.raises(SpecError, match=fragment):
+            run_sweep(self.grid(), on_result=seen.append, **kwargs)
+        assert seen == []
+
 
 class TestCli:
     def write(self, tmp_path, payload) -> str:
@@ -530,6 +543,22 @@ class TestCli:
         path = self.write(tmp_path, {"kind": "scenario", "bogus": True})
         assert main(["run", path]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_boolean_for_an_int_exits_two(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            {"kind": "scenario", "model": {"name": "vgg19"}, "pipeline": {"nm": True}},
+        )
+        assert main(["run", path]) == 2
+        assert "pipeline.nm must be an int >= 1 or null, got True" in capsys.readouterr().err
+
+    def test_sweep_resume_without_store_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(self_grid().to_json())
+        assert main(["sweep", str(path), "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert "--resume needs --store DIR (nowhere to resume from)" in captured.err
+        assert "spec=" not in captured.out  # no point ran
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
