@@ -136,7 +136,14 @@ def _check(spec: Any, table: tuple[tuple[str, str, _Rule], ...]) -> None:
         if not rule.test(value):
             raise SpecError(f"{path} must {rule.wanted}, got {value!r}")
         if rule.number:
-            object.__setattr__(spec, name, float(value) + 0.0)
+            try:
+                number = float(value) + 0.0
+            except OverflowError:
+                raise SpecError(
+                    f"{path} must be a number a float can hold, got an int "
+                    f"of {value.bit_length()} bits"
+                ) from None
+            object.__setattr__(spec, name, number)
 
 
 def canonical_dumps(data: Any) -> str:
@@ -577,7 +584,8 @@ class RunSpec:
     def from_json(cls, text: str) -> "RunSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal
+            # longer than the interpreter's int-string conversion limit
             raise SpecError(f"spec is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 

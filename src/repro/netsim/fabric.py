@@ -22,10 +22,13 @@ resource on its path is free, runs at the path's bottleneck rate, and
 occupies each traversed resource for the whole service interval.  The
 unloaded service time therefore equals the dedicated
 :class:`~repro.sim.resources.Channel` model exactly (same bottleneck
-bandwidth, same end-to-end latency), so ``shared`` mode differs from
-``dedicated`` mode *only* by contention — queueing behind other flows on
-shared resources — which is precisely what the fuzz oracle
-``shared makespan >= dedicated makespan`` checks.
+bandwidth, same end-to-end latency), and a loaded or congested flow is
+only slower.  That is the per-flow law
+:class:`~repro.sim.invariants.FabricOracle` checks: every flow's
+service time ``done - start`` is at least its route's latency plus
+``nbytes`` over the bottleneck bandwidth at dedicated rates.  The law
+holds per flow, not per run: slower transfers reorder the WSP
+admissions downstream, and a run can end sooner for it.
 
 Booking a flow is one loop inside :class:`Fabric`: it reads ``free_at``
 over the path to find the start, then updates every hop's counters
@@ -520,14 +523,6 @@ class Fabric:
             depth += delta
             peak = max(peak, depth)
         return total, peak
-
-    def congested_links(self, top: int = 5, elapsed: float | None = None) -> list[SharedLink]:
-        """The ``top`` resources by queueing delay (ties by utilization)."""
-        return sorted(
-            self.links(),
-            key=lambda l: (l.queue_delay_total, l.utilization(elapsed)),
-            reverse=True,
-        )[:top]
 
     def verify(self, elapsed: float | None = None) -> None:
         """Check flow conservation and per-resource occupancy laws.

@@ -184,9 +184,9 @@ def congested_fabric_spec(seed: int) -> FabricSpec:
     Drawn from an rng stream *independent* of the scenario draw, so
     enabling the shared network never perturbs which scenario a seed
     maps to (dedicated digests stay bit-identical).  Scales at or below
-    1.0 model oversubscribed lanes/NICs; every path stays at least as
-    slow as the dedicated model, which is what the
-    ``shared makespan >= dedicated makespan`` oracle relies on.
+    1.0 model oversubscribed lanes/NICs; every path's bottleneck stays
+    at least as slow as the dedicated model, which is what the per-flow
+    floor of :class:`~repro.sim.invariants.FabricOracle` relies on.
     """
     rng = random.Random(f"netsim-{seed}")
     return FabricSpec(

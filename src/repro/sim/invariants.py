@@ -32,10 +32,12 @@ becomes impossible under the paper's rules:
   injections/completions vs. the runtime's stats vs. the pipelines'
   counters vs. the PS push/pull totals.
 * :class:`FabricOracle` — shared-network laws when a contention-aware
-  :class:`~repro.netsim.fabric.Fabric` is attached: flow conservation
-  (bytes in == bytes out per traversed resource), per-resource
-  utilization <= 1, and PS traffic totals matching the fabric's PS flow
-  ledger.  A no-op under the dedicated network model.
+  :class:`~repro.netsim.fabric.Fabric` is attached: no flow is served
+  faster than its dedicated floor (HetPipe §7's latency plus bytes over
+  the bottleneck bandwidth), flow conservation (bytes in == bytes out
+  per traversed resource), per-resource utilization <= 1, and PS
+  traffic totals matching the fabric's PS flow ledger.  A no-op under
+  the dedicated network model.
 * :class:`OneFOneBOracle` — PipeDream-style dispatch discipline for a
   pipeline under backward-first dispatch
   (:attr:`~repro.pipeline.virtual_worker.VirtualWorkerPipeline.backward_first`,
@@ -78,6 +80,8 @@ from repro.sim.trace import TraceRecord
 from repro.wsp.staleness import global_staleness, local_staleness, missing_updates
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (wsp -> sim)
+    from repro.cluster.topology import InterconnectSpec
+    from repro.netsim.fabric import Flow
     from repro.pipeline.virtual_worker import VirtualWorkerPipeline
     from repro.wsp.runtime import HetPipeRuntime
 
@@ -541,8 +545,24 @@ class ConservationOracle(RuntimeOracle):
                 )
 
 
+#: Relative slack of the per-flow floor: a flow may beat its dedicated
+#: time by rounding, never by a byte or a latency.
+_FLOOR_RTOL = 1e-9
+
+
 class FabricOracle(RuntimeOracle):
-    """Shared-fabric laws: flow conservation and bounded utilization.
+    """Shared-fabric laws: the per-flow floor, flow conservation and
+    bounded utilization.
+
+    The floor is HetPipe §7's communication model applied per flow: a
+    flow's service time ``done - start`` (its queueing excluded) is at
+    least the unloaded time at dedicated rates, the route's latency plus
+    ``nbytes`` over the bottleneck of its link classes, each at scale 1.
+    The constants come from the cluster's interconnect alone, chosen by
+    whether the endpoints share a node, not from the fabric's routing,
+    so a routing bug cannot hide from the check.  It holds for every
+    variant and every congested fabric the fuzz generator draws, whose
+    scales never exceed 1 on a route's bottleneck.
 
     Delegates the per-resource checks to
     :meth:`~repro.netsim.fabric.Fabric.verify` (bytes charged by flows
@@ -552,10 +572,15 @@ class FabricOracle(RuntimeOracle):
     check that no PS traffic bypasses the shared network.
     """
 
+    def __init__(self) -> None:
+        #: flows held to the dedicated floor (0 under the dedicated model)
+        self.flows_checked = 0
+
     def verify_final(self, runtime: "HetPipeRuntime") -> None:
         fabric = runtime.fabric
         if fabric is None:
             return
+        self._check_floors(fabric.flows, runtime.cluster.interconnect)
         fabric.verify(elapsed=runtime.sim.now)
         # Cross-layer reconciliations: the flow ledger against byte
         # counters maintained by *other* layers (the PS's traffic
@@ -586,6 +611,25 @@ class FabricOracle(RuntimeOracle):
                             f"{edge.bytes_moved:.0f} bytes but flows tagged with "
                             f"it carried {routed:.0f}"
                         )
+
+    def _check_floors(self, flows: "list[Flow]", ic: "InterconnectSpec") -> None:
+        # (seconds per byte, latency) of an intra-node and a cross-node
+        # route, shrunk by the slack.  Written as ``start + floor``, the
+        # sum rounds like the fabric's own ``start + occupy + latency``,
+        # so a correct flow passes exactly at any clock magnitude.
+        keep = 1.0 - _FLOOR_RTOL
+        local = (keep / ic.pcie_effective, keep * ic.pcie_latency)
+        remote = (keep / min(ic.pcie_effective, ic.ib_effective), keep * ic.ib_latency)
+        for src, dst, nbytes, start, done, _path, tag, _wait in flows:
+            per_byte, latency = local if src.node_id == dst.node_id else remote
+            if done < start + nbytes * per_byte + latency:
+                floor = (nbytes * per_byte + latency) / keep
+                raise InvariantViolation(
+                    f"fabric: flow {src}->{dst} ({tag or 'untagged'}) moved "
+                    f"{nbytes:.0f} bytes in {done - start:.9g}s, below its "
+                    f"dedicated floor {floor:.9g}s"
+                )
+        self.flows_checked += len(flows)
 
 
 def default_oracles() -> list[RuntimeOracle]:

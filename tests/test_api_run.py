@@ -552,6 +552,26 @@ class TestCli:
         assert main(["run", path]) == 2
         assert "pipeline.nm must be an int >= 1 or null, got True" in capsys.readouterr().err
 
+    def test_int_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        path = self.write(
+            tmp_path,
+            {"kind": "scenario", "model": {"name": "vgg19"}, "pipeline": {"nm": 1},
+             "observability": {"sample_every": 10**400}},
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "observability.sample_every must be a number a float can hold" in err
+
+    def test_int_literal_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"kind": "scenario", "model": {"name": "vgg19"}, "pipeline": {"nm": 1},'
+            ' "observability": {"sample_every": 1' + "0" * 5000 + "}}"
+        )
+        assert main(["run", str(path)]) == 2
+        assert "spec is not valid JSON" in capsys.readouterr().err
+
     def test_sweep_resume_without_store_exits_two(self, tmp_path, capsys):
         path = tmp_path / "grid.json"
         path.write_text(self_grid().to_json())

@@ -362,6 +362,16 @@ class TestValidation:
                 _with_field(MINIMAL_SCENARIO, "pipeline.push_every_minibatch", 1),
                 "pipeline.push_every_minibatch",
             ),
+            # ints too large for a float pass the bound test, then must
+            # not overflow when stored
+            *[
+                (_with_field(MINIMAL_SCENARIO, path, 10**400), path)
+                for path in (
+                    "observability.sample_every",
+                    "faults.straggler_factor",
+                    "faults.retry_timeout",
+                )
+            ],
         ],
     )
     def test_malformed_specs_are_rejected_with_the_path(self, data, fragment):

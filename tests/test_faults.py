@@ -76,7 +76,7 @@ def _drive_faulted(run: RunSpec):
         * max(plan.k for plan in scenario.plans)
         * 4
     )
-    horizon = _makespan_only(scenario, run, total, budget, keep_network=True)
+    horizon = _makespan_only(scenario, run, total, budget)
     runtime = HetPipeRuntime.from_spec(
         run,
         cluster=scenario.cluster,

@@ -1,5 +1,7 @@
 """Contention-aware fabric: routing, sharing semantics, oracles, wiring."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,15 +138,6 @@ class TestSharing:
         delay, depth = fabric.queue_stats()
         assert delay > 0
         assert depth >= 3
-
-    def test_congested_links_ranking(self):
-        sim, cluster, fabric = _fabric()
-        for _ in range(3):
-            fabric.transfer_gpus(0, 2, 1e6)
-        sim.run()
-        top = fabric.congested_links(top=3)
-        assert len(top) == 3
-        assert top[0].queue_delay_total >= top[-1].queue_delay_total
 
 
 class _ReferenceLink:
@@ -511,10 +504,11 @@ class TestRuntimeIntegration:
         assert shared.net_queue_delay_total >= 0.0
 
     def test_shared_makespan_not_faster_than_dedicated(self, build_runtime):
-        """Contention can only delay the target global version.
+        """On this deployment contention delays the target global version.
 
-        (Windowed throughput is *not* strictly monotone — both window
-        endpoints shift — which is why the oracle compares makespans.)
+        A pinned example, not a law: a reordered schedule can finish
+        sooner (seed 330 in test_scenarios.py), so the fabric oracle
+        checks each flow against its dedicated floor instead.
         """
         cluster, model, plans = self._deployment("VRG", 2)
         makespans = {}
@@ -540,6 +534,8 @@ class TestRuntimeIntegration:
         runtime.start()
         runtime.run_until_global_version(3)
         runtime.check_invariants()
+        oracle = next(o for o in runtime.oracles if isinstance(o, FabricOracle))
+        assert oracle.flows_checked == len(runtime.fabric.flows) > 0
 
     def test_fabric_oracle_noop_on_dedicated_run(self, build_runtime):
         oracle = FabricOracle()
@@ -548,6 +544,18 @@ class TestRuntimeIntegration:
         runtime.start()
         runtime.run_until_global_version(1)
         oracle.verify_final(runtime)  # no fabric -> no-op
+        assert oracle.flows_checked == 0
+
+    def test_fabric_oracle_flags_a_flow_below_its_dedicated_floor(self):
+        """Lanes twice as fast as the interconnect's PCIe serve an
+        intra-node flow in less than its dedicated time."""
+        _, cluster, fabric = _fabric(
+            spec=FabricSpec(pcie_lane_scale=2.0, pcie_switch_scale=4.0)
+        )
+        fabric.transfer_gpus(0, 1, 1e6)
+        runtime = SimpleNamespace(fabric=fabric, cluster=cluster)
+        with pytest.raises(InvariantViolation, match="below its dedicated floor"):
+            FabricOracle().verify_final(runtime)
 
 
 class TestAllreduceOnFabric:
@@ -665,9 +673,7 @@ def _fabric_ledger(seed, shards=1, faults=False):
     if faults:
         from repro.faults import FaultInjector, FaultTargets, compile_schedule
 
-        horizon = _makespan_only(
-            built, run, total_waves, budget, keep_network=True, fabric_spec=fabric_spec
-        )
+        horizon = _makespan_only(built, run, total_waves, budget, fabric_spec)
         targets = FaultTargets(
             num_virtual_workers=len(built.plans),
             stages_per_worker=tuple(plan.k for plan in built.plans),

@@ -7,6 +7,7 @@ import pytest
 from repro.api.build import build_scenario
 from repro.api.spec import NetworkSpec
 from repro.errors import ConfigurationError, PartitionError, SpecError
+from repro.netsim.fabric import Fabric
 from repro.scenarios import (
     FuzzReport,
     build_fuzz_model,
@@ -17,11 +18,35 @@ from repro.scenarios import (
     run_fuzz,
     run_scenario,
 )
+from repro.sim.invariants import FabricOracle
 
 
 def _shared(seed: int):
     run = generate_run_spec(seed)
     return dataclasses.replace(run, network=NetworkSpec(model="shared"))
+
+
+@pytest.fixture
+def fabric_checks(monkeypatch):
+    """``(oracle, fabric)`` of every FabricOracle verdict that passed on
+    a shared run."""
+    seen = []
+    verify = FabricOracle.verify_final
+
+    def recording(oracle, runtime):
+        verify(oracle, runtime)
+        if runtime.fabric is not None:
+            seen.append((oracle, runtime.fabric))
+
+    monkeypatch.setattr(FabricOracle, "verify_final", recording)
+    return seen
+
+
+def _dedicated_floor(ic, flow) -> float:
+    """``flow``'s unloaded time at dedicated rates, from interconnect ``ic``."""
+    if flow.src.node_id == flow.dst.node_id:
+        return ic.pcie_latency + flow.nbytes / ic.pcie_effective
+    return ic.ib_latency + flow.nbytes / min(ic.pcie_effective, ic.ib_effective)
 
 
 class TestModelBuilder:
@@ -107,11 +132,38 @@ class TestRunScenario:
 
 
 class TestSharedNetworkScenarios:
-    def test_shared_run_is_clean_and_records_makespans(self):
+    def test_shared_run_is_clean_and_records_makespans(self, fabric_checks):
         result = run_scenario(_shared(1))
         assert result.ok, result.violations
-        assert result.makespan >= result.dedicated_makespan > 0
+        assert result.makespan > 0
+        [(oracle, fabric)] = fabric_checks
+        assert oracle.flows_checked == len(fabric.flows) > 0
         assert "net=shared" in describe_run(result.spec)
+
+    def test_seed_330_shared_run_beats_dedicated_with_no_fast_flow(self, fabric_checks):
+        """A scheduling anomaly (Graham 1969), not a fabric bug: seed 330
+        draws no jitter, no flow of its shared run is served faster than
+        its dedicated floor, and yet the run ends before the same spec on
+        the dedicated network.  Slower transfers reorder WSP admissions
+        and PS applies, and the new order finishes sooner."""
+        shared_run = _shared(330)
+        assert shared_run.pipeline.jitter == 0.0
+        shared = run_scenario(shared_run)
+        dedicated = run_scenario(
+            dataclasses.replace(shared_run, network=NetworkSpec(model="dedicated"))
+        )
+        assert shared.ok and dedicated.ok, (shared.violations, dedicated.violations)
+        assert shared.makespan < dedicated.makespan
+        [(oracle, fabric)] = fabric_checks
+        ic = fabric.cluster.interconnect
+        assert oracle.flows_checked == len(fabric.flows) > 0
+        for flow in fabric.flows:
+            assert flow.done - flow.start >= _dedicated_floor(ic, flow) * (1 - 1e-9)
+
+    def test_a_shared_run_that_checked_no_flow_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(FabricOracle, "_check_floors", lambda self, flows, ic: None)
+        result = run_scenario(_shared(1))
+        assert result.violations == ("fabric: oracle checked no flows on a shared run",)
 
     def test_shared_mode_does_not_perturb_the_scenario_draw(self):
         dedicated = generate_run_spec(4)
@@ -123,10 +175,67 @@ class TestSharedNetworkScenarios:
         run = _shared(6)
         assert run_scenario(run).digest == run_scenario(run).digest
 
-    def test_shared_batch_smoke(self):
+    def test_shared_batch_smoke(self, fabric_checks):
         report = run_fuzz(range(5), network_model="shared")
         assert report.failures == []
-        assert all(r.makespan >= r.dedicated_makespan for r in report.results)
+        assert len(fabric_checks) == 5
+        assert all(
+            oracle.flows_checked == len(fabric.flows) > 0
+            for oracle, fabric in fabric_checks
+        )
+
+
+def _fastest_hop(monkeypatch):
+    """A route whose bottleneck is its fastest hop."""
+    route_entry = Fabric._route_entry
+
+    def mutant(fabric, src, dst):
+        path, latency, names, _ = route_entry(fabric, src, dst)
+        return path, latency, names, max(link.bandwidth for link in path)
+
+    monkeypatch.setattr(Fabric, "_route_entry", mutant)
+
+
+def _no_latency(monkeypatch):
+    """A flow that skips its route's latency."""
+    route_entry = Fabric._route_entry
+
+    def mutant(fabric, src, dst):
+        path, _, names, bottleneck = route_entry(fabric, src, dst)
+        return path, 0.0, names, bottleneck
+
+    monkeypatch.setattr(Fabric, "_route_entry", mutant)
+
+
+def _dropped_byte(monkeypatch):
+    """A hop that serves one byte fewer than the flow carries, while
+    the flow record and every link's byte counter keep all of them."""
+    reserve = Fabric._reserve
+
+    def mutant(fabric, route, src, dst, nbytes, *args, **kwargs):
+        served = max(nbytes - 1.0, 0.0)
+        done = reserve(fabric, route, src, dst, served, *args, **kwargs)
+        if route is not None:
+            fabric.flows[-1] = fabric.flows[-1]._replace(nbytes=nbytes)
+            for link in route[0]:
+                link.bytes_moved += nbytes - served
+        return done
+
+    monkeypatch.setattr(Fabric, "_reserve", mutant)
+
+
+class TestFabricFloorCatchesMutants:
+    """Each deliberate fabric bug is caught by the per-flow floor within
+    25 ``--network shared`` seeds."""
+
+    @pytest.mark.parametrize("mutate", [_fastest_hop, _no_latency, _dropped_byte])
+    def test_mutant_is_caught_within_25_seeds(self, monkeypatch, mutate):
+        mutate(monkeypatch)
+        for seed in range(25):
+            violations = run_scenario(_shared(seed)).violations
+            if any("below its dedicated floor" in v for v in violations):
+                return
+        pytest.fail(f"{mutate.__name__} survived 25 shared seeds")
 
 
 class TestFuzzBatch:
