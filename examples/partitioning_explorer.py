@@ -9,14 +9,16 @@ Shows, for one heterogeneous virtual worker (one GPU of each type):
 * the per-stage period/memory table a systems person would read before
   deploying.
 
+To watch a pipeline execute (the paper's Figure 1), export a timeline of
+a checked-in scenario and open it in chrome://tracing or Perfetto:
+
+    repro trace examples/specs/trace_demo.json --out demo.trace.json
+
 Run:  python examples/partitioning_explorer.py
 """
 
 from repro import build_resnet152, paper_cluster, plan_virtual_worker
-from repro.pipeline import measure_pipeline, render_timeline
-from repro.pipeline.tasks import CountingGate
-from repro.pipeline.virtual_worker import VirtualWorkerPipeline
-from repro.sim import Simulator, Trace
+from repro.pipeline import measure_pipeline
 from repro.units import fmt_bytes
 
 
@@ -64,15 +66,8 @@ def main() -> None:
         )
 
     print("\n=== the pipeline, live (Figure 1 of the paper) ===")
-    plan = plan_virtual_worker(model, vw, 4, cluster.interconnect, search_orderings=False)
-    sim = Simulator()
-    trace = Trace()
-    pipeline = VirtualWorkerPipeline(
-        sim, plan, cluster.interconnect, gate=CountingGate(limit=12), trace=trace
-    )
-    pipeline.start()
-    sim.run_until_idle()
-    print(render_timeline(trace, plan, width=96))
+    print("  repro trace examples/specs/trace_demo.json --out demo.trace.json")
+    print("  then open demo.trace.json in chrome://tracing or https://ui.perfetto.dev")
 
 
 if __name__ == "__main__":

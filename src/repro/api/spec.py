@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, NamedTuple
 
@@ -85,6 +86,12 @@ def _ints(lo: int) -> _Rule:
     return _Rule(lambda v: all(_is_int(d, lo) for d in v), f"contain ints >= {lo}")
 
 
+def _finite(value: int | float) -> bool:
+    # an int is always finite (and may be too large for math.isfinite);
+    # inf would reach canonical JSON as the non-standard token Infinity
+    return isinstance(value, int) or math.isfinite(value)
+
+
 def _number(
     lo: int, hi: int | None = None, open_lo: bool = False, open_hi: bool = False
 ) -> _Rule:
@@ -92,12 +99,13 @@ def _number(
         return (
             isinstance(v, (int, float))
             and not isinstance(v, bool)
+            and _finite(v)
             and (v > lo if open_lo else v >= lo)
             and (hi is None or (v < hi if open_hi else v <= hi))
         )
 
     if hi is None:
-        wanted = f"be a number {'>' if open_lo else '>='} {lo}"
+        wanted = f"be a finite number {'>' if open_lo else '>='} {lo}"
     else:
         wanted = f"be in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
     return _Rule(test, wanted, number=True)
@@ -438,12 +446,12 @@ class FaultSpec:
                     f"entries, got {len(event)}"
                 )
             if not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
+                isinstance(v, (int, float)) and not isinstance(v, bool) and _finite(v)
                 for v in event[1:]
             ):
                 raise SpecError(
-                    f"faults.events[{i}] entries after the kind must be numbers, "
-                    f"got {event!r}"
+                    f"faults.events[{i}] entries after the kind must be finite "
+                    f"numbers, got {event!r}"
                 )
             if not (float(event[1]) >= 0.0):  # NaN fails too
                 raise SpecError(

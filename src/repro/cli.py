@@ -475,47 +475,22 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    # Every experiment import happens inside its branch: `repro fuzz` must
+    # Experiment modules import only when their registry entry is called,
+    # and every other import happens inside its branch: `repro fuzz` must
     # start without touching NumPy or the experiment harnesses (its
     # startup is the benchmark's setup_s, see bench/README.md).
-    if args.command == "fig3":
-        from repro.experiments import run_fig3
+    from repro.api.registry import EXPERIMENTS
 
-        print(run_fig3(args.model, jobs=args.jobs).render())
-    elif args.command == "fig4":
-        from repro.experiments import run_fig4
-
-        print(run_fig4(args.model, jobs=args.jobs).render())
-    elif args.command == "table4":
-        from repro.experiments import run_table4
-
-        print(run_table4(args.model, jobs=args.jobs).render())
-    elif args.command == "fig5":
-        from repro.experiments import run_fig5
-        from repro.experiments.report import ascii_curve
-
-        result = run_fig5()
+    if args.command in EXPERIMENTS:
+        result = EXPERIMENTS.get(args.command)(
+            getattr(args, "model", None), getattr(args, "jobs", None)
+        )
         print(result.render())
-        if args.curves:
+        if getattr(args, "curves", False):  # fig5/fig6 only
+            from repro.experiments.report import ascii_curve
+
             for label, run in result.runs.items():
                 print(ascii_curve([(t, a) for t, _, a in run.curve], label=label))
-    elif args.command == "fig6":
-        from repro.experiments import run_fig6
-        from repro.experiments.report import ascii_curve
-
-        result = run_fig6()
-        print(result.render())
-        if args.curves:
-            for label, run in result.runs.items():
-                print(ascii_curve([(t, a) for t, _, a in run.curve], label=label))
-    elif args.command == "sync":
-        from repro.experiments import run_sync_overhead
-
-        print(run_sync_overhead(args.model).render())
-    elif args.command == "ablations":
-        from repro.experiments import run_ablations
-
-        print(run_ablations(args.model).render())
     elif args.command == "fuzz":
         from repro.scenarios import run_fuzz
 
@@ -619,30 +594,12 @@ def _dispatch(args) -> int:
     elif args.command == "store":
         return _dispatch_store(args)
     elif args.command == "all":
-        from repro.experiments import (
-            run_ablations,
-            run_fig3,
-            run_fig4,
-            run_fig5,
-            run_fig6,
-            run_sync_overhead,
-            run_table4,
-        )
-
-        for model in ("vgg19", "resnet152"):
-            print(run_fig3(model, jobs=args.jobs).render())
-            print()
-            print(run_fig4(model, jobs=args.jobs).render())
-            print()
-            print(run_table4(model, jobs=args.jobs).render())
-            print()
-        print(run_fig5().render())
-        print()
-        print(run_fig6().render())
-        print()
-        print(run_sync_overhead().render())
-        print()
-        print(run_ablations().render())
+        runs = [(n, m) for m in ("vgg19", "resnet152") for n in ("fig3", "fig4", "table4")]
+        runs += [("fig5", None), ("fig6", None), ("sync", "vgg19"), ("ablations", "resnet152")]
+        for i, (name, model) in enumerate(runs):
+            if i:
+                print()
+            print(EXPERIMENTS.get(name)(model, args.jobs).render())
     return 0
 
 

@@ -108,10 +108,6 @@ class Cluster:
                 return node
         raise ConfigurationError(f"no node with id {node_id}")
 
-    def gpus_of_type(self, code: str) -> list[GPUDevice]:
-        """All devices whose spec code matches (e.g. 'V')."""
-        return [gpu for gpu in self.gpus if gpu.code == code]
-
     def codes(self) -> str:
         """Cluster fingerprint: one letter per GPU in id order."""
         return "".join(gpu.code for gpu in self.gpus)

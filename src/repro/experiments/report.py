@@ -34,14 +34,6 @@ def format_table(headers: Row, rows: Sequence[Row], title: str | None = None) ->
     return "\n".join(lines)
 
 
-def markdown_table(headers: Row, rows: Sequence[Row]) -> str:
-    """GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
-    head = "| " + " | ".join(_stringify(h) for h in headers) + " |"
-    sep = "|" + "|".join("---" for _ in headers) + "|"
-    body = ["| " + " | ".join(_stringify(c) for c in row) + " |" for row in rows]
-    return "\n".join([head, sep] + body)
-
-
 def ascii_curve(
     points: Sequence[tuple[float, float]],
     width: int = 70,

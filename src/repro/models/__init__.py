@@ -17,7 +17,7 @@ models that stand in for the paper's TensorFlow profiling step (§7):
 from repro.models.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.models.graph import ModelGraph
 from repro.models.layers import LayerSpec, composite, conv_unit, fc_unit, pool_unit
-from repro.models.memory import max_in_flight, stage_memory_bytes
+from repro.models.memory import stage_memory_bytes
 from repro.models.profiler import LayerCost, Profiler
 from repro.models.resnet import build_resnet50, build_resnet101, build_resnet152
 from repro.models.vgg import build_vgg16, build_vgg19
@@ -37,7 +37,6 @@ __all__ = [
     "composite",
     "conv_unit",
     "fc_unit",
-    "max_in_flight",
     "pool_unit",
     "stage_memory_bytes",
 ]

@@ -80,16 +80,6 @@ class ModelGraph:
     def names(self) -> list[str]:
         return [layer.name for layer in self.layers]
 
-    def with_batch_size(self, batch_size: int) -> "ModelGraph":
-        """Rescale the whole chain to a different minibatch size."""
-        ratio = batch_size / self.batch_size
-        return ModelGraph(
-            name=self.name,
-            batch_size=batch_size,
-            input_bytes=self.input_bytes * ratio,
-            layers=tuple(layer.scaled(ratio) for layer in self.layers),
-        )
-
     def summary(self) -> str:
         """One-line description used in reports and logs."""
         return (

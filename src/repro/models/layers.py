@@ -27,7 +27,7 @@ Conventions (all per *minibatch*, fp32):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ConfigurationError
@@ -71,17 +71,6 @@ class LayerSpec:
     @property
     def total_flops(self) -> float:
         return self.flops_fwd + self.flops_bwd
-
-    def scaled(self, batch_ratio: float) -> "LayerSpec":
-        """The same unit at a different batch size (params unchanged)."""
-        return replace(
-            self,
-            flops_fwd=self.flops_fwd * batch_ratio,
-            flops_bwd=self.flops_bwd * batch_ratio,
-            output_bytes=self.output_bytes * batch_ratio,
-            stash_bytes=self.stash_bytes * batch_ratio,
-            workspace_bytes=self.workspace_bytes * batch_ratio,
-        )
 
 
 def _act_bytes(batch: int, channels: int, height: int, width: int) -> float:

@@ -106,27 +106,6 @@ def stage_fits(
     return stage_memory_bytes(layers, in_flight, calibration) <= gpu_usable_bytes(gpu, calibration)
 
 
-def max_in_flight(
-    layers: Sequence[LayerSpec],
-    gpu: GPUSpec,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    limit: int = 32,
-) -> int:
-    """Largest ``m`` such that the stage fits with ``m`` minibatches.
-
-    Returns 0 when even ``m = 1`` does not fit (the device cannot host
-    this stage at all) — that is what disqualifies the RTX 2060 from
-    running whole-model ResNet-152 in the Horovod baseline.
-    """
-    fits = 0
-    for m in range(1, limit + 1):
-        if stage_fits(layers, m, gpu, calibration):
-            fits = m
-        else:
-            break
-    return fits
-
-
 def model_fits_single_gpu(
     layers: Sequence[LayerSpec],
     gpu: GPUSpec,

@@ -57,9 +57,6 @@ class ModelProfile:
     def stage_bwd(self, start: int, stop: int) -> float:
         return self.bwd_prefix[stop] - self.bwd_prefix[start]
 
-    def stage_total(self, start: int, stop: int) -> float:
-        return self.stage_fwd(start, stop) + self.stage_bwd(start, stop)
-
     @property
     def total(self) -> float:
         return self.fwd_prefix[-1] + self.bwd_prefix[-1]

@@ -15,7 +15,6 @@ lifecycle annotations, and fast-forward macro-spans.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -64,7 +63,7 @@ class ObsReport:
 
 
 class ObsCollector:
-    """Accumulates spans, counters, annotations, samples, and a trace ring.
+    """Accumulates spans, counters, annotations and samples.
 
     All methods are cheap appends; nothing here feeds back into the
     simulation, so an instrumented run follows the exact trajectory of
@@ -83,9 +82,6 @@ class ObsCollector:
         self.counters: dict[str, int] = {}
         #: gauge name -> [(time, value), ...] time series
         self.series: dict[str, list[tuple[float, float]]] = {}
-        #: last-N raw trace records (time, category, actor, detail) for
-        #: diagnostics bundles
-        self.ring: deque = deque(maxlen=spec.ring_buffer)
         self.resources: list[Any] = []
         self.samples_taken = 0
         self._resource_ids: set[int] = set()
@@ -103,10 +99,6 @@ class ObsCollector:
     def gauge(self, name: str, value: float, time: float) -> None:
         """Append one ``(time, value)`` point to gauge ``name``."""
         self.series.setdefault(name, []).append((time, value))
-
-    def annotate(self, time: float, name: str, track: str, **args: Any) -> None:
-        """Record an instant marker on ``track``."""
-        self.annotations.append((time, name, track, args))
 
     def register_resource(self, resource: Any) -> None:
         """Track a Processor/Channel/SharedLink for utilization sampling.
@@ -133,9 +125,8 @@ class ObsCollector:
     # ------------------------------------------------------------------
 
     def on_trace(self, record: "TraceRecord") -> None:
-        """Pair task start/done records into spans; keep the ring fresh."""
+        """Pair task start/done records into spans."""
         category = record.category
-        self.ring.append((record.time, category, record.actor, dict(record.detail)))
         if category.endswith("_start"):
             self._open[(record.actor, category[:-6])] = (record.time, record.detail)
             return
@@ -220,7 +211,3 @@ class ObsCollector:
             utilization=utilization,
             queue_depth_peak=queue_depth_peak,
         )
-
-    def ring_records(self) -> list[tuple[float, str, str, dict[str, Any]]]:
-        """The ring buffer contents, oldest first."""
-        return list(self.ring)

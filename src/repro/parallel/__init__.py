@@ -1,4 +1,4 @@
-"""Data-parallel baselines: Horovod-style AllReduce BSP and PS models."""
+"""Data-parallel baseline: Horovod-style AllReduce BSP."""
 
 from repro.parallel.allreduce import (
     cross_node_allreduce_bytes,
@@ -8,16 +8,9 @@ from repro.parallel.allreduce import (
     simulate_ring_allreduce,
 )
 from repro.parallel.horovod import HorovodMetrics, feasible_gpus, measure_horovod
-from repro.parallel.sync_models import (
-    asp_iteration_times,
-    bsp_iteration_time,
-    ssp_iteration_times,
-)
 
 __all__ = [
     "HorovodMetrics",
-    "asp_iteration_times",
-    "bsp_iteration_time",
     "cross_node_allreduce_bytes",
     "feasible_gpus",
     "measure_horovod",
@@ -25,5 +18,4 @@ __all__ = [
     "ring_allreduce_time",
     "ring_bandwidth",
     "simulate_ring_allreduce",
-    "ssp_iteration_times",
 ]

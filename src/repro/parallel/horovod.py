@@ -41,10 +41,6 @@ class HorovodMetrics:
     allreduce_time: float
     cross_node_bytes_per_minibatch: float
 
-    @property
-    def per_gpu_throughput(self) -> float:
-        return self.throughput / self.num_gpus
-
 
 def feasible_gpus(
     model: ModelGraph,

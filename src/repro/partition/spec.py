@@ -122,12 +122,6 @@ class PartitionPlan:
     def gpus(self) -> tuple[GPUDevice, ...]:
         return tuple(stage.gpu for stage in self.stages)
 
-    def stage_of_layer(self, layer_index: int) -> Stage:
-        for stage in self.stages:
-            if stage.start <= layer_index < stage.stop:
-                return stage
-        raise ConfigurationError(f"layer {layer_index} outside plan range")
-
     def describe(self) -> str:
         header = (
             f"{self.model_name}: k={self.k}, Nm={self.nm}, "

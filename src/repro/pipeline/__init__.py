@@ -19,7 +19,6 @@ parameter servers.
 
 from repro.pipeline.tasks import AdmissionGate, OpenGate, wave_minibatches, wave_of
 from repro.pipeline.one_f_one_b import OneFOneBPipeline
-from repro.pipeline.timeline import render_timeline
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
 from repro.pipeline.metrics import PipelineMetrics, measure_pipeline
 
@@ -30,7 +29,6 @@ __all__ = [
     "PipelineMetrics",
     "VirtualWorkerPipeline",
     "measure_pipeline",
-    "render_timeline",
     "wave_minibatches",
     "wave_of",
 ]

@@ -6,7 +6,7 @@
   one memoized build path, :func:`repro.api.build.build_plans`.
 * :mod:`repro.scenarios.runner` — run a scenario's RunSpec end to end
   under the invariant oracles of :mod:`repro.sim.invariants` and the
-  differential envelopes of :mod:`repro.training.theory`.  The RunSpec
+  differential envelopes of :mod:`repro.training.envelopes`.  The RunSpec
   is the only scenario description past the generator: the runner reads
   every knob from it, a fuzz mode (:class:`FuzzMode`) is one overlay on
   it, and every :class:`ScenarioResult` carries it.

@@ -7,12 +7,12 @@ attached, then closes with three independent verdicts:
 1. **Invariants** — any live oracle violation, deadlock (quiescing short
    of the target version), or event-budget blowout fails the scenario.
 2. **Differential bounds** — the measured window is compared against the
-   envelopes of :mod:`repro.training.theory`: per-worker completions
-   must sit inside :func:`~repro.training.theory.wsp_completion_bounds`,
+   envelopes of :mod:`repro.training.envelopes`: per-worker completions
+   must sit inside :func:`~repro.training.envelopes.wsp_completion_bounds`,
    no worker may beat its
-   :func:`~repro.training.theory.pipeline_rate_bound`, and the window
+   :func:`~repro.training.envelopes.pipeline_rate_bound`, and the window
    cannot exceed the serialized worst case
-   (:func:`~repro.training.theory.wsp_wave_time_bound`, with PS apply
+   (:func:`~repro.training.envelopes.wsp_wave_time_bound`, with PS apply
    contention added and a slack factor for transfer queueing).
 3. **1F1B cross-check** — the same partition plan is also run through
    the PipeDream-style :class:`~repro.pipeline.one_f_one_b.OneFOneBPipeline`

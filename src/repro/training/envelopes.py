@@ -2,9 +2,9 @@
 
 Analytic bounds on what any correct WSP/pipeline execution can achieve;
 the scenario runner compares every measured window against them.  They
-live apart from :mod:`repro.training.theory` (which re-exports them for
-backward compatibility) so the fuzz hot path does not drag in NumPy and
-the numeric trainers — ``repro fuzz`` startup is itself benchmarked.
+live apart from :mod:`repro.training.theory` so the fuzz hot path does
+not drag in NumPy and the numeric trainers — ``repro fuzz`` startup is
+itself benchmarked.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ instead of ResNet/VGG on ImageNet), not the training mathematics.
 """
 
 from repro.training.nn.data import SyntheticDataset, make_classification, make_convex_problem
-from repro.training.nn.layers import Dense, ReLU, Tanh
+from repro.training.nn.layers import Dense, ReLU
 from repro.training.nn.loss import accuracy, softmax_cross_entropy
 from repro.training.nn.network import MLP
 from repro.training.nn.optimizer import SGD
@@ -20,7 +20,6 @@ __all__ = [
     "ReLU",
     "SGD",
     "SyntheticDataset",
-    "Tanh",
     "accuracy",
     "make_classification",
     "make_convex_problem",

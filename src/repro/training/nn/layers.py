@@ -98,16 +98,3 @@ class ReLU(Layer):
         return grad_out * self._mask
 
 
-class Tanh(Layer):
-    """Element-wise hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        assert self._y is not None, "backward before forward"
-        return grad_out * (1.0 - self._y**2)

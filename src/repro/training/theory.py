@@ -1,5 +1,4 @@
-"""Theorem 1 / Lemma 1 utilities (§6 and Appendix A), plus performance
-envelopes for differential checking.
+"""Theorem 1 / Lemma 1 utilities (§6 and Appendix A).
 
 * :func:`regret_bound` — the paper's bound
   ``R[W] <= 4 M L sqrt((2 s_g + s_l) N / T)`` with ``s_l = s_local + 1``.
@@ -10,35 +9,18 @@ envelopes for differential checking.
   sequence.  The property tests assert the measured regret decays and
   respects the bound's shape.
 
-The *throughput envelope* functions at the bottom bound what any correct
-simulation of a configuration can measure, independent of scheduling
-details.  The fuzz harness (:mod:`repro.scenarios`) asserts every run
-stays inside them:
-
-* :func:`pipeline_rate_bound` — a virtual worker cannot complete
-  minibatches faster than its bottleneck stage can compute them.
-* :func:`wsp_completion_bounds` — over a window in which the global
-  version advanced by ``waves``, each worker's completed-minibatch count
-  is pinned between the D-gated minimum progress and the §5 admission
-  maximum run-ahead.
-* :func:`wsp_wave_time_bound` — a worker that owes one wave can always
-  deliver it within its fully-serialized pipeline plus synchronization
-  time; with bounded staleness and no deadlock the global version then
-  advances at least that fast.
+The throughput envelopes the fuzz harness checks every run against live
+in :mod:`repro.training.envelopes`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.partition.spec import PartitionPlan
 from repro.training.nn.data import SyntheticDataset
 from repro.training.nn.loss import softmax_cross_entropy
 from repro.training.nn.network import MLP
@@ -164,25 +146,10 @@ def measure_regret(
     )
 
 
-# ----------------------------------------------------------------------
-# throughput envelopes (differential oracles for the fuzz harness)
-# ----------------------------------------------------------------------
-# Re-exported from repro.training.envelopes, their NumPy-free home (the
-# fuzz hot path imports them without dragging in the numeric trainers).
-
-from repro.training.envelopes import (  # noqa: E402
-    pipeline_rate_bound,
-    wsp_completion_bounds,
-    wsp_wave_time_bound,
-)
-
 __all__ = [
     "RegretMeasurement",
     "lemma1_cardinality_bound",
     "measure_regret",
-    "pipeline_rate_bound",
     "regret_bound",
     "theoretical_sigma",
-    "wsp_completion_bounds",
-    "wsp_wave_time_bound",
 ]

@@ -9,12 +9,9 @@ without sprinkling conversion factors around.
 
 from __future__ import annotations
 
-KILO = 1_000
 MEGA = 1_000_000
 GIGA = 1_000_000_000
-TERA = 1_000_000_000_000
 
-KIB = 1 << 10
 MIB = 1 << 20
 GIB = 1 << 30
 
@@ -55,11 +52,6 @@ def gb_per_s(value: float) -> float:
 def mhz(value: float) -> float:
     """Megahertz to hertz."""
     return value * MEGA
-
-
-def tflops(value: float) -> float:
-    """TeraFLOP/s to FLOP/s."""
-    return value * TERA
 
 
 def us(value: float) -> float:

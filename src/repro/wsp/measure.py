@@ -59,11 +59,6 @@ class HetPipeMetrics:
     #: :class:`~repro.api.spec.ObservabilitySpec`; None otherwise
     observability: "ObsReport | None" = None
 
-    @property
-    def total_concurrent_minibatches(self) -> int:
-        """Table 4's parenthesised number: Nm summed over VWs."""
-        return self.nm * self.num_virtual_workers
-
 
 def measure_run(
     run: "RunSpec",

@@ -427,9 +427,6 @@ class HetPipeRuntime:
                 ff.on_boundary(target)
                 last_version = ps.global_version
 
-    def total_minibatches_done(self) -> int:
-        return sum(stats.minibatches_done for stats in self.stats)
-
     def ps_queue_stats(self) -> tuple[float, int]:
         """``(total queueing delay, peak queue depth)`` of PS traffic
         alone: the dedicated PS streams, or — in fabric mode — the

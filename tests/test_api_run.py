@@ -563,6 +563,18 @@ class TestCli:
         assert err.count("\n") == 1
         assert "observability.sample_every must be a number a float can hold" in err
 
+    def test_float_literal_past_the_float_range_exits_two(self, tmp_path, capsys):
+        # json reads 1e400 as inf, which canonical JSON could not carry
+        path = tmp_path / "spec.json"
+        path.write_text(
+            '{"kind": "scenario", "model": {"name": "vgg19"}, "pipeline": {"nm": 1},'
+            ' "observability": {"enabled": true, "sample_every": 1e400}}'
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "observability.sample_every must be a finite number >= 0, got inf" in err
+
     def test_int_literal_past_the_digit_limit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(

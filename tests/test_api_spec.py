@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -372,6 +373,21 @@ class TestValidation:
                     "faults.retry_timeout",
                 )
             ],
+            # inf passes a lower bound, but canonical JSON cannot carry it
+            *[
+                (_with_field(MINIMAL_SCENARIO, path, math.inf), f"{path} must be")
+                for path in (
+                    "observability.sample_every",
+                    "faults.straggler_factor",
+                    "faults.retry_timeout",
+                )
+            ],
+            (
+                _with_field(
+                    MINIMAL_SCENARIO, "faults.events", [["link", 0.1, math.inf, 0.2]]
+                ),
+                "faults.events[0] entries after the kind must be finite numbers",
+            ),
         ],
     )
     def test_malformed_specs_are_rejected_with_the_path(self, data, fragment):

@@ -97,7 +97,7 @@ class TestPaperCluster:
             cluster.node(99)
 
     def test_gpus_of_type(self, cluster):
-        assert len(cluster.gpus_of_type("Q")) == 4
+        assert sum(gpu.code == "Q" for gpu in cluster.gpus) == 4
 
     def test_specs_in_first_appearance_order(self, cluster):
         assert [s.code for s in cluster.specs()] == ["V", "R", "G", "Q"]

@@ -1,5 +1,5 @@
-"""Extensions beyond the paper's core: 1F1B dispatch, activation
-recomputation, and the timeline renderer."""
+"""Extensions beyond the paper's core: 1F1B dispatch and activation
+recomputation."""
 
 import pytest
 
@@ -7,10 +7,10 @@ from repro.cluster import paper_cluster
 from repro.errors import SimulationError
 from repro.models.calibration import DEFAULT_CALIBRATION
 from repro.partition import max_feasible_nm, plan_virtual_worker
-from repro.pipeline import OneFOneBPipeline, measure_pipeline, render_timeline
+from repro.pipeline import OneFOneBPipeline, measure_pipeline
 from repro.pipeline.tasks import CountingGate
 from repro.pipeline.virtual_worker import VirtualWorkerPipeline
-from repro.sim import Simulator, Trace
+from repro.sim import Simulator
 
 
 class TestOneFOneB:
@@ -118,45 +118,3 @@ class TestActivationRecompute:
             layers, 4, DEFAULT_CALIBRATION.with_overrides(activation_recompute=True)
         )
         assert small < base
-
-
-class TestTimeline:
-    def _run_with_trace(self, plan, cluster, total=10):
-        sim = Simulator()
-        trace = Trace()
-        pipeline = VirtualWorkerPipeline(
-            sim, plan, cluster.interconnect, gate=CountingGate(limit=total), trace=trace
-        )
-        pipeline.start()
-        sim.run_until_idle()
-        return trace
-
-    def test_renders_one_row_per_stage(self, vvvv_plan, cluster):
-        trace = self._run_with_trace(vvvv_plan, cluster)
-        text = render_timeline(trace, vvvv_plan, width=60)
-        lines = text.splitlines()
-        assert len(lines) == 1 + vvvv_plan.k
-        assert all(line.startswith("GPU") for line in lines[1:])
-
-    def test_contains_forward_and_fused_glyphs(self, vvvv_plan, cluster):
-        trace = self._run_with_trace(vvvv_plan, cluster)
-        text = render_timeline(trace, vvvv_plan, width=80)
-        assert "X" in text  # fused last stage
-        assert any(d in text for d in "0123456789")
-        assert any(b in text for b in "abcdefghij")
-
-    def test_first_stage_starts_before_last(self, vvvv_plan, cluster):
-        trace = self._run_with_trace(vvvv_plan, cluster)
-        text = render_timeline(trace, vvvv_plan, width=80)
-        rows = [line.split("|")[1] for line in text.splitlines()[1:]]
-        first_busy = [len(row) - len(row.lstrip(".")) for row in rows]
-        assert first_busy[0] <= first_busy[-1]
-
-    def test_empty_trace(self, vvvv_plan):
-        assert render_timeline(Trace(), vvvv_plan) == "(empty trace)"
-
-    def test_until_truncates(self, vvvv_plan, cluster):
-        trace = self._run_with_trace(vvvv_plan, cluster)
-        full = render_timeline(trace, vvvv_plan, width=60)
-        half = render_timeline(trace, vvvv_plan, width=60, until=trace.records[-1].time / 2)
-        assert full != half

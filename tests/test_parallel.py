@@ -1,18 +1,15 @@
-"""Horovod baseline and sync models — including the paper's Table-4 fit."""
+"""Horovod baseline — including the paper's Table-4 fit."""
 
 import pytest
 
 from repro.cluster import paper_cluster
 from repro.errors import ConfigurationError, MemoryCapacityError
 from repro.parallel import (
-    asp_iteration_times,
-    bsp_iteration_time,
     cross_node_allreduce_bytes,
     feasible_gpus,
     measure_horovod,
     ring_allreduce_time,
     ring_bandwidth,
-    ssp_iteration_times,
 )
 from repro.units import mib
 
@@ -107,33 +104,3 @@ class TestHorovod:
         cluster = paper_cluster()
         usable = feasible_gpus(resnet152, cluster.gpus)
         assert {g.code for g in usable} == {"V", "R", "Q"}
-
-    def test_per_gpu_throughput(self, vgg19):
-        metrics = measure_horovod(paper_cluster("V"), vgg19)
-        assert metrics.per_gpu_throughput == pytest.approx(metrics.throughput / 4)
-
-
-class TestSyncModels:
-    def test_bsp_is_max_plus_sync(self):
-        assert bsp_iteration_time([1.0, 2.0, 3.0], sync_time=0.5) == 3.5
-
-    def test_asp_is_per_worker(self):
-        assert asp_iteration_times([1.0, 2.0], sync_time=0.5) == [1.5, 2.5]
-
-    def test_ssp_throttles_fast_workers(self):
-        periods = ssp_iteration_times([1.0, 3.0], staleness=2, window=10)
-        assert periods[0] > 1.0  # fast worker bounded by the slow one
-        assert periods[1] == pytest.approx(3.0)
-
-    def test_ssp_large_staleness_approaches_asp(self):
-        tight = ssp_iteration_times([1.0, 3.0], staleness=0, window=10)
-        loose = ssp_iteration_times([1.0, 3.0], staleness=1000, window=10)
-        assert loose[0] < tight[0]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            bsp_iteration_time([])
-        with pytest.raises(ConfigurationError):
-            ssp_iteration_times([1.0], staleness=-1)
-        with pytest.raises(ConfigurationError):
-            asp_iteration_times([])

@@ -342,12 +342,6 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError):
             PartitionPlan(model_name="x", nm=0, stages=vvvv_plan.stages)
 
-    def test_stage_of_layer(self, vvvv_plan):
-        stage = vvvv_plan.stage_of_layer(0)
-        assert stage.index == 0
-        with pytest.raises(ConfigurationError):
-            vvvv_plan.stage_of_layer(999)
-
     def test_describe_mentions_stages(self, vvvv_plan):
         text = vvvv_plan.describe()
         assert "stage0" in text and "Nm=4" in text

@@ -1,6 +1,6 @@
 """Report formatting."""
 
-from repro.experiments.report import ascii_curve, format_table, markdown_table
+from repro.experiments.report import ascii_curve, format_table
 
 
 def test_format_table_aligns_columns():
@@ -18,14 +18,6 @@ def test_format_table_float_rendering():
 
 def test_format_table_inf():
     assert "inf" in format_table(["x"], [(float("inf"),)])
-
-
-def test_markdown_table_shape():
-    text = markdown_table(["a", "b"], [(1, 2)])
-    lines = text.splitlines()
-    assert lines[0] == "| a | b |"
-    assert lines[1] == "|---|---|"
-    assert lines[2] == "| 1 | 2 |"
 
 
 def test_ascii_curve_contains_points():

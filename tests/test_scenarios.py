@@ -315,7 +315,7 @@ class TestDifferentialBounds:
 
     def test_window_bound_catches_livelock(self):
         from repro.scenarios.runner import _check_bounds
-        from repro.training.theory import wsp_completion_bounds
+        from repro.training.envelopes import wsp_completion_bounds
         from repro.wsp.runtime import HetPipeRuntime
         from repro.sim.trace import Trace
 

@@ -33,10 +33,6 @@ def test_mhz():
     assert units.mhz(1455) == 1_455_000_000
 
 
-def test_tflops():
-    assert units.tflops(14.9) == pytest.approx(14.9e12)
-
-
 def test_us_ms():
     assert units.us(25) == pytest.approx(25e-6)
     assert units.ms(3) == pytest.approx(3e-3)

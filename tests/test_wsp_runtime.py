@@ -210,7 +210,7 @@ class TestMetricsShape:
 
     def test_total_concurrent_minibatches(self, measure_plans, resnet152, ed_plans):
         metrics = measure_plans(resnet152, ed_plans, placement="local", measured_waves=3)
-        assert metrics.total_concurrent_minibatches == 2 * 4
+        assert (metrics.nm, metrics.num_virtual_workers) == (2, 4)
 
     def test_idle_fraction_bounded(self, measure_plans, resnet152, ed_plans):
         metrics = measure_plans(resnet152, ed_plans, placement="local", measured_waves=3)
